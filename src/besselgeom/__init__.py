@@ -52,6 +52,7 @@ from .disk import (
     convex_quotient,
     starlike_quotient,
     sup_estimate,
+    sup_estimates,
 )
 from .errors import (
     BesselGeomError,
@@ -125,4 +126,5 @@ __all__ = [
     "starlike_sum",
     "starlike_sum_closed_form",
     "sup_estimate",
+    "sup_estimates",
 ]

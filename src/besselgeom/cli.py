@@ -20,10 +20,11 @@ Non-finite values can reach the output only through saturation of auxiliary
 quantities; they serialize as JavaScript-style Infinity literals, which the
 stdlib json module reads back.
 
-Threading: scan fans grid points across a thread pool.  The worker count is
---parallel, overridden by the BESSEL_GEOM_THREADS environment variable
-(0 means one worker per CPU).  Row order, and therefore output bytes, never
-depends on the worker count.
+Threading: scan evaluates the disk layer once per order p (the rows of one p
+differ only in alpha and beta) and fans the p values, not the rows, across a
+thread pool.  The worker count is --parallel, overridden by the
+BESSEL_GEOM_THREADS environment variable (0 means one worker per CPU).  Row
+order, and therefore output bytes, never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .bessel import BesselParams, SeriesValue, eval_u_derivatives, eval_w
 from .conditions import ConditionVerdict, Variant, convex_condition, starlike_condition
 from .criteria import ClassSpec, SumReport, SumStatus, convex_sum, starlike_sum
-from .disk import DEFAULT_GRID, QuotientKind, SupEstimate, sup_estimate
+from .disk import DEFAULT_GRID, QuotientKind, SupEstimate, sup_estimate, sup_estimates
 from .errors import BesselGeomError, DomainError
 from .thresholds import (
     FIGURES,
@@ -317,31 +318,34 @@ def scan_record(
     ps = np.linspace(p_range[0], p_range[1], steps[0]).tolist()
     alphas = np.linspace(alpha_range[0], alpha_range[1], steps[1]).tolist()
     betas = np.linspace(beta_range[0], beta_range[1], steps[2]).tolist()
-    points = [(p, a, bt) for p in ps for a in alphas for bt in betas]
+    pairs = [(a, bt) for a in alphas for bt in betas]
 
-    def classify(point: tuple[float, float, float]) -> dict:
-        p, a, bt = point
+    def classify(p: float) -> list[dict]:
+        """The rows of order p, in grid order; the disk layer runs once for all of them."""
         params = BesselParams(p, b, c)
-        cls = ClassSpec(a, bt)
-        thm = cond(params, cls)
-        rep = lem(params, cls)
-        est = sup_estimate(params, cls, kind, DEFAULT_GRID)
-        bad = (thm.holds and rep.status is SumStatus.FAILS) or (
-            rep.status is SumStatus.HOLDS and est.violations > 0
-        )
-        return {
-            "p": p, "alpha": a, "beta": bt,
-            "theorem": "holds" if thm.holds else "fails",
-            "lemma": rep.status.value,
-            "disk_max": est.max_quotient,
-            "consistent": not bad,
-        }
+        classes = [ClassSpec(a, bt) for a, bt in pairs]
+        verdicts = [(cond(params, cls), lem(params, cls)) for cls in classes]
+        ests = sup_estimates(params, classes, kind, DEFAULT_GRID)
+        rows = []
+        for (a, bt), (thm, rep), est in zip(pairs, verdicts, ests):
+            bad = (thm.holds and rep.status is SumStatus.FAILS) or (
+                rep.status is SumStatus.HOLDS and est.violations > 0
+            )
+            rows.append({
+                "p": p, "alpha": a, "beta": bt,
+                "theorem": "holds" if thm.holds else "fails",
+                "lemma": rep.status.value,
+                "disk_max": est.max_quotient,
+                "consistent": not bad,
+            })
+        return rows
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(classify, points))  # map preserves grid order
+            per_p = list(pool.map(classify, ps))  # map preserves grid order
     else:
-        rows = [classify(pt) for pt in points]
+        per_p = [classify(p) for p in ps]
+    rows = [row for block in per_p for row in block]
 
     flags = [r.pop("consistent") for r in rows]
     result = {"rows": rows, "consistent": all(flags)}

@@ -85,18 +85,45 @@ def _verdict(criterion, variant, value, **inputs) -> ConditionVerdict:
     )
 
 
+def _exp_term(coef: float, t: float) -> float:
+    """coef * exp(t) for an exponent t at which exp(t) alone overflows binary64.
+
+    The product is still finite when |coef| is small enough; otherwise it
+    saturates to the infinity with the sign of coef.  A zero coefficient
+    leaves 0 * inf, whose sign nothing determines.
+    """
+    if coef == 0.0:
+        raise DomainError(f"exp({t!r}) overflows and its coefficient is 0")
+    try:
+        return math.copysign(math.exp(t + math.log(abs(coef))), coef)
+    except OverflowError:
+        return math.copysign(math.inf, coef)
+
+
 def _starlike_value(q: float, s: float, cls: ClassSpec) -> float:
-    e = math.exp(s / (q + 1.0))
+    t = s / (q + 1.0)
+    try:
+        e = math.exp(t)
+    except OverflowError:
+        # the display is thr (2 + 1/q) - [thr (1 + 1/q) + (1+beta) s/q] E
+        thr = cls.threshold
+        return thr * (2.0 + 1.0 / q) + _exp_term(
+            -(thr * (1.0 + 1.0 / q) + (1.0 + cls.beta) * s / q), t)
     return cls.threshold * (2.0 - e + (1.0 - e) / q) - (1.0 + cls.beta) * s / q * e
 
 
 def _convex_value(q: float, s: float, cls: ClassSpec) -> float:
-    e = math.exp(-s / (q + 1.0))
+    t = -s / (q + 1.0)
     bracket = (
         (1.0 + cls.beta) * s * s / (q * (q + 1.0))
         + 2.0 * (1.0 + cls.beta * (2.0 - cls.alpha)) * s / q
         + cls.threshold * (q + 1.0) / q
     )
+    try:
+        e = math.exp(t)
+    except OverflowError:  # only the printed variant, at s = -c < -709.78 (q+1)
+        head = _exp_term(cls.threshold * (1.0 + (q + 1.0) / q), t)
+        return head if math.isinf(head) else head - bracket  # an infinite exp term dominates
     return cls.threshold * (1.0 + (q + 1.0) / q) * e - bracket
 
 

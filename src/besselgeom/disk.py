@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from .bessel import BesselParams, eval_u_derivatives
+from .bessel import MAX_TERMS, BesselParams, eval_u_derivatives
 from .criteria import ClassSpec
-from .errors import DegenerateError, DomainError
+from .errors import DegenerateError, DomainError, NoConvergenceError
 
 GUARD = 1e-14
 
@@ -121,7 +122,8 @@ def _coefficient_array(params: BesselParams, rmax: float) -> np.ndarray:
 
     K satisfies the same geometric-majorant logic as the scalar evaluator:
     the term ratio at radius rmax (including the second-derivative weight)
-    is at most 1/2 and the first discarded u'' term is below 1e-16.
+    is at most 1/2 and the first discarded u'' term is below 1e-16.  Like
+    the scalar evaluator, it raises NoConvergenceError past MAX_TERMS.
     """
     q, c = params.q, params.c
     coeffs = [1.0]
@@ -135,22 +137,64 @@ def _coefficient_array(params: BesselParams, rmax: float) -> np.ndarray:
             lead = (k + 1.0) * k * abs(nxt) * rmax ** max(k - 2, 0)
             if ratio <= 0.5 and lead / (1.0 - ratio) < 1e-16:
                 return np.asarray(coeffs)
-        if k > 10_000:  # same hard cap as the scalar evaluator
-            return np.asarray(coeffs)
+        if k > MAX_TERMS:
+            raise NoConvergenceError(
+                f"disk series truncation not certified within {MAX_TERMS} terms"
+            )
 
 
-def _eval_on_grid(params: BesselParams, zs: np.ndarray):
-    """(u, u', u'') on an array of nonzero points, by Horner on shared coefficients."""
+def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] zs^j, in place on one accumulator."""
+    acc = np.zeros_like(zs)
+    for ck in coeffs[::-1]:
+        acc *= zs
+        acc += ck
+    return acc
+
+
+def sup_estimates(
+    params: BesselParams,
+    classes: Sequence[ClassSpec],
+    which: QuotientKind,
+    grid: DiskGrid = DEFAULT_GRID,
+) -> list[SupEstimate]:
+    """sup_estimate for several classes, sharing everything alpha does not touch.
+
+    The series lanes, the quotient base (w = z u'/u or v = z u''/u') and the
+    guard on its denominator depend on (params, which, grid) alone, so they
+    are evaluated once; each class then costs a few array passes.
+    """
+    zs = grid.points()
     a = _coefficient_array(params, float(np.max(np.abs(zs))))
     ks = np.arange(1, len(a) + 1, dtype=float)
-    u = np.zeros_like(zs)
-    up = np.zeros_like(zs)
-    us = np.zeros_like(zs)
-    for ak, k in zip(a[::-1], ks[::-1]):
-        u = u * zs + ak
-        up = up * zs + k * ak
-        us = us * zs + k * (k - 1.0) * ak
-    return u * zs, up, us / zs
+    if which is QuotientKind.STARLIKE:
+        first, second = _horner(a, zs) * zs, _horner(ks * a, zs)  # u, u'
+        shifts = [1.0 - 2.0 * cls.alpha for cls in classes]
+    else:
+        first, second = _horner(ks * a, zs), _horner(ks * (ks - 1.0) * a, zs) / zs  # u', u''
+        shifts = [2.0 * (1.0 - cls.alpha) for cls in classes]
+    with np.errstate(all="ignore"):
+        w = zs * second / first
+        num = w - 1.0 if which is QuotientKind.STARLIKE else w
+        live = np.abs(first) > GUARD
+    return [
+        _sup_for_class(zs, w, num, live, shift, cls.beta)
+        for shift, cls in zip(shifts, classes)
+    ]
+
+
+def _sup_for_class(zs, w, num, live, shift: float, beta: float) -> SupEstimate:
+    with np.errstate(all="ignore"):
+        den = w + shift
+        quot = np.abs(num / den)
+        valid = live & (np.abs(den) > GUARD)
+    degenerate = int(zs.size - np.count_nonzero(valid))
+    if degenerate == zs.size:
+        return SupEstimate(0.0, 0j, 0, degenerate)
+    masked = np.where(valid, quot, -1.0)  # -1 < beta: a masked point never counts
+    idx = int(np.argmax(masked))
+    violations = int(np.count_nonzero(masked >= beta))
+    return SupEstimate(float(masked[idx]), complex(zs[idx]), violations, degenerate)
 
 
 def sup_estimate(
@@ -164,24 +208,4 @@ def sup_estimate(
     Guard-tripped points are excluded from the maximum and the violation
     count and reported in degenerate_points instead.
     """
-    zs = grid.points()
-    u, up, us = _eval_on_grid(params, zs)
-    with np.errstate(all="ignore"):
-        if which is QuotientKind.STARLIKE:
-            first = u
-            w = zs * up / u
-            den = w + (1.0 - 2.0 * cls.alpha)
-            quot = np.abs((w - 1.0) / den)
-        else:
-            first = up
-            w = zs * us / up
-            den = w + 2.0 * (1.0 - cls.alpha)
-            quot = np.abs(w / den)
-        valid = (np.abs(first) > GUARD) & (np.abs(den) > GUARD)
-    degenerate = int(zs.size - np.count_nonzero(valid))
-    if not np.any(valid):
-        return SupEstimate(0.0, 0j, 0, degenerate)
-    masked = np.where(valid, quot, -1.0)
-    idx = int(np.argmax(masked))
-    violations = int(np.count_nonzero(masked[valid] >= cls.beta))
-    return SupEstimate(float(masked[idx]), complex(zs[idx]), violations, degenerate)
+    return sup_estimates(params, [cls], which, grid)[0]

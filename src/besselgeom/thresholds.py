@@ -16,8 +16,10 @@ positive factor:
 The largest zero x0 of g_i is the threshold order: g_i > 0 (hence the
 condition holds) for all x > x0.  Roots are located by scanning both sides
 of the essential singularity for sign changes and bisecting each bracket;
-the right-most root is the reported threshold.  Function 2 is positive on
-both sides of its singularity and has no root at all.
+the right-most root is the reported threshold.  Function 2 has no root at
+all: it is positive everywhere right of its singularity and negative
+everywhere left of it (g_2(-10) = -9.06), so its only sign change is the
+jump at x = -2.
 
 Near the singularity the exponential factor overflows; evaluations then
 return +/-inf with the correct sign rather than raising.

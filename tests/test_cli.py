@@ -1,13 +1,14 @@
 """CLI: records, schemas, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
-from besselgeom import SumReport, SumStatus, cli
+from besselgeom import SumReport, SumStatus, cli, disk
 from besselgeom.cli import (
     check_record,
     eval_record,
@@ -99,6 +100,28 @@ def test_check_failing_point_is_consistent(capsys):
     assert res["lemma"]["status"] == "fails"
     assert res["disk"]["max_quotient"] > 0.0
     assert res["consistent"]  # failing both layers breaks no implication
+
+
+def test_check_disk_coefficient_cap_exits_2(capsys):
+    # |c| = 1e6 exhausts the disk layer's term cap: a diagnostic, not a silent 0.0
+    code = main(["check", "--p", "1", "--b", "1", "--c=-1e6", "--alpha", "0",
+                 "--beta", "1", "--class", "star", "--mode", "disk"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_check_starlike_overflow_gives_verdict(capsys):
+    # exp(|c|/(q+1)) overflows binary64; the condition saturates to -inf
+    code, rec = run_json(capsys, [
+        "check", "--p", "0", "--b", "1", "--c=-2000", "--alpha", "0",
+        "--beta", "1", "--class", "star"])
+    assert code == 0
+    thm = rec["result"]["theorem"]
+    assert thm["value"] == -math.inf
+    assert not thm["holds"]
+    assert rec["result"]["consistent"]
 
 
 def test_check_alpha_out_of_range(capsys):
@@ -257,6 +280,25 @@ def test_scan_parallel_identical(capsys):
     main(SCAN_ARGS + ["--parallel", "4"])
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
+    # the rows of one p share the disk series: 30 builds for 30 x 3 x 2 rows
+    builds = []
+    real = disk._coefficient_array
+
+    def counting(params, rmax):
+        builds.append(params.p)
+        return real(params, rmax)
+
+    monkeypatch.setattr(disk, "_coefficient_array", counting)
+    code = main(["scan", "--b", "1", "--c", "-1", "--p-range", "0,3",
+                 "--alpha-range", "0,0.5", "--beta-range", "0.5,1",
+                 "--class", "convex", "--steps", "30,3,2"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 180
+    assert len(builds) == 30
+    assert len(set(builds)) == 30
 
 
 def test_scan_env_override(capsys, monkeypatch):

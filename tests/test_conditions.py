@@ -180,3 +180,55 @@ def test_audit_report_shape():
         assert len(entry["disagreement_examples"]) <= 5
     pin = report["pinned_case"]
     assert pin["printed_holds"] and not pin["derived_holds"]
+
+
+def _mp_general(q, s, alpha, beta, convex):
+    """The general display at 40 digits, from the module docstring."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q, s, a, b = (mpmath.mpf(x) for x in (q, s, alpha, beta))
+        thr = 2 * b * (1 - a)
+        if not convex:
+            e = mpmath.exp(s / (q + 1))
+            return thr * (2 - e + (1 - e) / q) - (1 + b) * s / q * e
+        e = mpmath.exp(-s / (q + 1))
+        bracket = ((1 + b) * s * s / (q * (q + 1)) + 2 * (1 + b * (2 - a)) * s / q
+                   + thr * (q + 1) / q)
+        return thr * (1 + (q + 1) / q) * e - bracket
+
+
+def test_general_condition_overflow_sign():
+    # exp overflows binary64 in each case; the value saturates to the
+    # infinity with the sign of the exact display instead of raising
+    cases = [
+        (starlike_condition, BesselParams(0.0, 1.0, -2000.0), ClassSpec(0.0, 1.0), Variant.DERIVED),
+        (starlike_condition, BesselParams(0.5, 2.0, 5000.0), ClassSpec(0.3, 0.6), Variant.DERIVED),
+        (starlike_condition, BesselParams(5.0, 1.0, -9000.0), ClassSpec(0.0, 1.0), Variant.DERIVED),
+        (starlike_condition, BesselParams(-0.4, 0.0, 800.0), ClassSpec(0.5, 0.2), Variant.DERIVED),
+        (convex_condition, BesselParams(1.0, 1.0, 5000.0), ClassSpec(0.0, 1.0), Variant.PRINTED),
+        (convex_condition, BesselParams(-0.9, 1.0, 900.0), ClassSpec(0.9, 0.05), Variant.PRINTED),
+    ]
+    for cond, params, cls, variant in cases:
+        verdict = cond(params, cls, variant)
+        s = -params.c if variant is Variant.PRINTED else abs(params.c)
+        want = _mp_general(params.q, s, cls.alpha, cls.beta, cond is convex_condition)
+        assert abs(want) > 1e300
+        assert verdict.value == math.copysign(math.inf, want)
+        assert verdict.holds == (want >= 0)
+
+
+def test_general_condition_overflow_small_coefficient():
+    # exp(750) overflows, but beta = 1e-300 scales it back into range
+    params, cls = BesselParams(0.0, 1.0, 1500.0), ClassSpec(0.0, 1e-300)
+    verdict = convex_condition(params, cls, Variant.PRINTED)
+    want = _mp_general(params.q, -params.c, cls.alpha, cls.beta, convex=True)
+    assert math.isfinite(verdict.value)
+    assert verdict.value == pytest.approx(float(want), rel=1e-10)
+
+
+def test_general_condition_overflow_zero_coefficient():
+    # 2 beta (1 - alpha) underflows to 0, leaving 0 * inf
+    cls = ClassSpec(0.9999999999999999, 5e-324)
+    assert cls.threshold == 0.0
+    with pytest.raises(DomainError):
+        convex_condition(BesselParams(1.0, 1.0, 5000.0), cls, Variant.PRINTED)

@@ -6,17 +6,20 @@ import math
 import pytest
 
 from besselgeom import (
+    DEFAULT_GRID,
     BesselParams,
     ClassSpec,
     DegenerateError,
     DiskGrid,
     DomainError,
+    NoConvergenceError,
     QuotientKind,
     convex_quotient,
     eval_u_derivatives,
     starlike_quotient,
     starlike_sum,
     sup_estimate,
+    sup_estimates,
 )
 from conftest import draw_chain_inputs, ref_u_derivs
 
@@ -158,3 +161,29 @@ def test_sup_argmax_on_outer_ring():
     est = sup_estimate(BesselParams(10.0, 1.0, -0.1), CLS01, QuotientKind.STARLIKE)
     assert abs(abs(est.argmax_z) - 0.999) < 1e-12
     assert est.violations == 0
+
+
+def test_sup_estimates_equals_per_class_calls():
+    # the shared alpha-independent stage must not change a single bit
+    classes = [ClassSpec(a, b) for a in (0.0, 0.3, 0.75, 0.95) for b in (0.2, 0.6, 1.0)]
+    small = DiskGrid(radii=(-U_ZERO,), angles_per_ring=2)
+    cases = [
+        (BAD, DEFAULT_GRID),
+        (BAD, small),
+        (BesselParams(10.0, 1.0, -0.1), DEFAULT_GRID),
+        (BesselParams(1.3, 1.0, -0.7), DEFAULT_GRID),
+        (BesselParams(0.5, 2.0, 3.0), DEFAULT_GRID),
+    ]
+    for params, grid in cases:
+        for kind in QuotientKind:
+            got = sup_estimates(params, classes, kind, grid)
+            assert got == [sup_estimate(params, cls, kind, grid) for cls in classes]
+    # the degenerate fixture really exercises the guard on both paths
+    assert sup_estimates(BAD, classes, QuotientKind.STARLIKE, small)[0].degenerate_points == 1
+    assert sup_estimates(BAD, [], QuotientKind.CONVEX) == []
+
+
+def test_coefficient_cap_raises():
+    # |c| = 1e6 needs far more than the 10,000-term cap; no silent truncation
+    with pytest.raises(NoConvergenceError):
+        sup_estimate(BesselParams(1.0, 1.0, -1e6), CLS01, QuotientKind.STARLIKE)

@@ -123,7 +123,8 @@ def _weighted_sum(
     m = 1.0  # m_k / |c|^(k-1) bookkeeping starts at a_1 = 1
     k = 1
     while True:
-        m_next = m * signed / ((q + k - 1.0) * k)  # m_(k+1)
+        # (q + k) - 1 would round away the low bits of a small q at k = 1
+        m_next = m * signed / ((q + (k - 1.0)) * k)  # m_(k+1)
         summed = k - 1  # terms for k' = 2 .. k are in the accumulator
 
         if summed >= MIN_TERMS or m_next == 0.0:

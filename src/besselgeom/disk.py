@@ -15,6 +15,19 @@ a denominator fell below the numerical guard.  At z = 0 both quotients have
 removable limit 0 (w -> 1 and v -> 0 by normalization), so the origin is
 excluded from every grid.
 
+For every accepted (p, b, c) the coefficients a_k are real, so
+u(conj z) = conj u(z) and both quotients take equal values at z and at
+conj z.  Each ring of the grid is therefore built conjugate-symmetric
+(angle index M - j is the mirror of index j), and only the indices
+j = 0 .. M // 2 are evaluated.  Every evaluated point carries an integer
+weight, the number of grid points it stands for: 1 for j = 0 and, when M is
+even, for j = M / 2; 2 otherwise.  Violation and degenerate counts are sums of
+these weights, so they count every grid point.  NumPy's complex arithmetic
+and abs commute exactly with conjugation when the coefficients are real, so
+a mirrored point has a bit-equal quotient and a later index in its ring: the
+first-occurrence argmax over the evaluated half is the first-occurrence
+argmax over the whole grid.
+
 A sampled maximum below beta is evidence consistent with membership, never
 a certificate; the sampled verdicts must not be read as proof.  The package
 uses them as the ground-truth end of the implication chain: whenever a
@@ -25,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,10 +74,37 @@ class DiskGrid:
             )
 
     def points(self) -> np.ndarray:
-        """All sample points as one complex array, ring by ring."""
-        theta = np.arange(self.angles_per_ring) * (2.0 * np.pi / self.angles_per_ring)
-        ring = np.exp(1j * theta)
+        """All sample points as one complex array, ring by ring.
+
+        Each ring holds r exp(i j 2 pi / M) for j = 0 .. M // 2; the rest of
+        the ring, j = M // 2 + 1 .. M - 1, is the exact conjugate of point
+        M - j.  Point 0 is real; point M / 2 (M even) is its own mirror and
+        keeps the rounded imaginary part of exp(i pi).
+        """
+        m = self.angles_per_ring
+        half = np.exp(1j * (np.arange(m // 2 + 1) * (2.0 * np.pi / m)))
+        ring = np.concatenate([half, np.conj(half[1 : m - m // 2][::-1])])
         return np.concatenate([r * ring for r in self.radii])
+
+
+@lru_cache(maxsize=8)
+def _half_rings(grid: DiskGrid) -> tuple[np.ndarray, np.ndarray, float]:
+    """The evaluated half of every ring, each point's weight, and max |z|.
+
+    The arrays are shared by every caller, so they are read-only.  The
+    weights are whole numbers stored as floats: a weighted count is then one
+    dot product, about 4x faster than a masked integer sum.
+    """
+    m, n = grid.angles_per_ring, grid.angles_per_ring // 2 + 1
+    zs = grid.points().reshape(len(grid.radii), m)[:, :n].ravel()
+    weights = np.full(n, 2.0)
+    weights[0] = 1.0
+    if m % 2 == 0:
+        weights[-1] = 1.0
+    ws = np.tile(weights, len(grid.radii))
+    zs.flags.writeable = False
+    ws.flags.writeable = False
+    return zs, ws, float(np.max(np.abs(zs)))
 
 
 DEFAULT_GRID = DiskGrid()
@@ -162,10 +203,11 @@ def sup_estimates(
 
     The series lanes, the quotient base (w = z u'/u or v = z u''/u') and the
     guard on its denominator depend on (params, which, grid) alone, so they
-    are evaluated once; each class then costs a few array passes.
+    are evaluated once, on the half of each ring that conjugate symmetry
+    leaves distinct; each class then costs a few array passes.
     """
-    zs = grid.points()
-    a = _coefficient_array(params, float(np.max(np.abs(zs))))
+    zs, weights, rmax = _half_rings(grid)
+    a = _coefficient_array(params, rmax)
     ks = np.arange(1, len(a) + 1, dtype=float)
     if which is QuotientKind.STARLIKE:
         first, second = _horner(a, zs) * zs, _horner(ks * a, zs)  # u, u'
@@ -178,22 +220,22 @@ def sup_estimates(
         num = w - 1.0 if which is QuotientKind.STARLIKE else w
         live = np.abs(first) > GUARD
     return [
-        _sup_for_class(zs, w, num, live, shift, cls.beta)
+        _sup_for_class(zs, weights, w, num, live, shift, cls.beta)
         for shift, cls in zip(shifts, classes)
     ]
 
 
-def _sup_for_class(zs, w, num, live, shift: float, beta: float) -> SupEstimate:
+def _sup_for_class(zs, weights, w, num, live, shift: float, beta: float) -> SupEstimate:
     with np.errstate(all="ignore"):
         den = w + shift
         quot = np.abs(num / den)
         valid = live & (np.abs(den) > GUARD)
-    degenerate = int(zs.size - np.count_nonzero(valid))
-    if degenerate == zs.size:
+    degenerate = int(weights @ ~valid)
+    if not valid.any():
         return SupEstimate(0.0, 0j, 0, degenerate)
     masked = np.where(valid, quot, -1.0)  # -1 < beta: a masked point never counts
     idx = int(np.argmax(masked))
-    violations = int(np.count_nonzero(masked >= beta))
+    violations = int(weights @ (masked >= beta))
     return SupEstimate(float(masked[idx]), complex(zs[idx]), violations, degenerate)
 
 

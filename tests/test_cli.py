@@ -1,5 +1,6 @@
 """CLI: records, schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -299,6 +300,24 @@ def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 180
     assert len(builds) == 30
     assert len(set(builds)) == 30
+
+
+# SHA-256 of the whole scan CSV.  A deliberate change to scan output
+# re-pins these hashes, with a note in CHANGES.md saying why the bytes moved.
+PINNED_SCANS = [
+    (["--b", "1", "--c", "1", "--p-range=-0.9,20", "--class", "star"],
+     "e193c953783d85944f434bfa3deaef8cecf75d3586484f2f422a4e1472bb1ce1"),
+    (["--b", "0.5", "--c=-25", "--p-range=-0.5,30", "--class", "convex"],
+     "2ce97a784f79e083c3d62a5224f59b5301969ec312e509b019a5cba33b9e0b41"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_SCANS)
+def test_scan_csv_bytes_pinned(capsys, args, digest):
+    code = main(["scan", *args, "--alpha-range", "0,0.5", "--beta-range", "1,1",
+                 "--steps", "30,3,1"])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_scan_env_override(capsys, monkeypatch):

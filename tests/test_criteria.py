@@ -94,6 +94,22 @@ def test_indeterminate_fixture():
     assert abs(rep.margin) <= rep.tail_bound
 
 
+def test_small_q_sum_against_mpmath():
+    # q = 0.028: forming q + k - 1 as (q + k) - 1 put this sum 23 ulp off
+    mpmath = pytest.importorskip("mpmath")
+    p, c = -0.9718996164495369, -0.08787975874807982
+    alpha, beta = 0.3760615558945569, 0.8729627707700609
+    got = convex_sum(BesselParams(p, 1.0, c), ClassSpec(alpha, beta)).sum
+    with mpmath.workdps(50):
+        q, cc, a, b = (mpmath.mpf(x) for x in (p + 1.0, c, alpha, beta))
+        m, want = mpmath.mpf(1), mpmath.mpf(0)
+        for k in range(2, 60):
+            m *= abs(cc) / ((q + k - 2) * (k - 1))  # m_k from m_(k-1)
+            want += ((k - 1) + b * (k + 1 - 2 * a)) * k * m
+        err = abs(mpmath.mpf(got) - want) / math.ulp(got)
+    assert err <= 2.0
+
+
 def test_as_printed_matches_for_negative_c():
     params = BesselParams(1.3, 1.0, -0.8)
     cls = ClassSpec(0.1, 0.9)

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from besselgeom import (
@@ -14,11 +15,13 @@ from besselgeom import (
     DomainError,
     NoConvergenceError,
     QuotientKind,
+    SupEstimate,
     convex_quotient,
     eval_u_derivatives,
     starlike_quotient,
     starlike_sum,
     sup_estimate,
+    disk,
     sup_estimates,
 )
 from conftest import draw_chain_inputs, ref_u_derivs
@@ -31,6 +34,38 @@ BAD = BesselParams(-0.95, 1.0, -5.0)
 BAD_MAX = 2.6787924754830135
 BAD_VIOLATIONS = 163
 U_ZERO = -0.010247975388452294  # real zero of u for the BAD parameters
+
+
+def full_grid_sup_estimates(params, classes, which, grid=DEFAULT_GRID):
+    """Reference: the quotient pipeline on every point of grid.points()."""
+    zs = grid.points()
+    a = disk._coefficient_array(params, float(np.max(np.abs(zs))))
+    ks = np.arange(1, len(a) + 1, dtype=float)
+    if which is QuotientKind.STARLIKE:
+        first, second = disk._horner(a, zs) * zs, disk._horner(ks * a, zs)
+        shifts = [1.0 - 2.0 * cls.alpha for cls in classes]
+    else:
+        first = disk._horner(ks * a, zs)
+        second = disk._horner(ks * (ks - 1.0) * a, zs) / zs
+        shifts = [2.0 * (1.0 - cls.alpha) for cls in classes]
+    out = []
+    with np.errstate(all="ignore"):
+        w = zs * second / first
+        num = w - 1.0 if which is QuotientKind.STARLIKE else w
+        live = np.abs(first) > disk.GUARD
+        for shift, cls in zip(shifts, classes):
+            den = w + shift
+            quot = np.abs(num / den)
+            valid = live & (np.abs(den) > disk.GUARD)
+            degenerate = int(zs.size - np.count_nonzero(valid))
+            if degenerate == zs.size:
+                out.append(SupEstimate(0.0, 0j, 0, degenerate))
+                continue
+            masked = np.where(valid, quot, -1.0)
+            idx = int(np.argmax(masked))
+            violations = int(np.count_nonzero(masked >= cls.beta))
+            out.append(SupEstimate(float(masked[idx]), complex(zs[idx]), violations, degenerate))
+    return out
 
 
 def test_quotient_domain():
@@ -181,6 +216,64 @@ def test_sup_estimates_equals_per_class_calls():
     # the degenerate fixture really exercises the guard on both paths
     assert sup_estimates(BAD, classes, QuotientKind.STARLIKE, small)[0].degenerate_points == 1
     assert sup_estimates(BAD, [], QuotientKind.CONVEX) == []
+
+
+def test_half_ring_evaluation_matches_full_grid(rng):
+    # evaluating half of each ring must give exactly what every point gives
+    classes = [ClassSpec(a, b) for a in (0.0, 0.3, 0.95) for b in (0.2, 0.6, 1.0)]
+    grids = (
+        DEFAULT_GRID,
+        DiskGrid(radii=(0.5, 0.9), angles_per_ring=1),
+        DiskGrid(radii=(0.3, 0.7, 0.95), angles_per_ring=5),
+        DiskGrid(radii=(0.2, 0.6, 0.9), angles_per_ring=16),
+        DiskGrid(radii=(-U_ZERO,), angles_per_ring=2),  # one point trips the guard
+        DiskGrid(radii=(1e-15, 0.5), angles_per_ring=5),  # |u| < GUARD on a whole ring
+        DiskGrid(radii=(1e-15,), angles_per_ring=6),  # every starlike point degenerate
+    )
+    cases = [(BAD, grid) for grid in grids]
+    for _ in range(12):
+        params, _, _ = draw_chain_inputs(rng)
+        cases += [(params, grid) for grid in grids[1:4]]
+        c = rng.uniform(0.01, 8.0)  # c > 0: oscillating coefficients
+        cases.append((BesselParams(rng.uniform(-0.4, 6.0), 2.0, c), grids[rng.randrange(4)]))
+    for params, grid in cases:
+        for kind in QuotientKind:
+            got = sup_estimates(params, classes, kind, grid)
+            assert got == full_grid_sup_estimates(params, classes, kind, grid)
+    assert sup_estimate(BAD, CLS01, QuotientKind.STARLIKE, grids[-1]).degenerate_points == 6
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 720])
+def test_points_conjugate_symmetric(m):
+    grid = DiskGrid(radii=(0.1, 0.55, 0.999), angles_per_ring=m)
+    rings = grid.points().reshape(len(grid.radii), m)
+    j = np.arange(m)
+    mirror = (m - j) % m
+    paired = mirror != j  # j = 0 and j = m/2 are their own mirror and stay as built
+    assert np.array_equal(rings[:, paired], np.conj(rings[:, mirror[paired]]))
+    assert np.all(rings[:, 0].imag == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 720])
+def test_first_half_points_keep_their_bits(m):
+    grid = DiskGrid(radii=(0.1, 0.55, 0.999), angles_per_ring=m)
+    rings = grid.points().reshape(len(grid.radii), m)
+    ring = np.exp(1j * (np.arange(m) * (2.0 * np.pi / m)))
+    for r, got in zip(grid.radii, rings):
+        assert np.array_equal(got[: m // 2 + 1], (r * ring)[: m // 2 + 1])
+
+
+def test_series_evaluated_on_half_of_each_ring(monkeypatch):
+    sizes = []
+    real = disk._horner
+
+    def counting(coeffs, zs):
+        sizes.append(zs.size)
+        return real(coeffs, zs)
+
+    monkeypatch.setattr(disk, "_horner", counting)
+    sup_estimates(BesselParams(1.0, 1.0, -1.0), [CLS01], QuotientKind.CONVEX)
+    assert sizes == [12 * 361, 12 * 361]  # 4,332 of the 8,640 grid points
 
 
 def test_coefficient_cap_raises():

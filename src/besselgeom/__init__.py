@@ -20,7 +20,6 @@ from .bessel import (
     eval_u_derivatives,
     eval_w,
     params_of_kind,
-    pochhammer,
 )
 from .conditions import (
     AGREEING_CRITERIA,
@@ -118,7 +117,6 @@ __all__ = [
     "find_all_thresholds",
     "find_threshold",
     "params_of_kind",
-    "pochhammer",
     "positivity_scan",
     "special_case_condition",
     "starlike_condition",

@@ -129,23 +129,6 @@ class SeriesValue:
     tail_bound: float
 
 
-def pochhammer(lam: float, mu: int) -> float:
-    """Rising factorial (lam)_mu = lam (lam+1) ... (lam+mu-1), with ()_0 = 1.
-
-    Computed as the running product, never as a Gamma ratio, so zero factors
-    are legal outputs.  Overflow of the product saturates to +/-inf rather
-    than raising.
-    """
-    if not isinstance(mu, int) or isinstance(mu, bool):
-        raise DomainError(f"mu must be an int, got {mu!r}")
-    if mu < 0:
-        raise DomainError(f"mu must be nonnegative, got {mu!r}")
-    out = 1.0
-    for j in range(mu):
-        out *= lam + j
-    return out
-
-
 def _gamma(x: float) -> float:
     """Gamma(x) via math.gamma, mapping its pole errors to PoleError.
 
@@ -171,7 +154,7 @@ def coefficient(params: BesselParams, k: int) -> float:
         raise DomainError(f"k must be >= 1, got {k}")
     a = 1.0
     for j in range(1, k):
-        denom = (params.q + j - 1.0) * j
+        denom = (params.q + (j - 1.0)) * j  # q + (j-1) keeps the low bits of a small q
         if denom == 0.0:
             raise PoleError(f"(q)_{k-1} vanishes for q = {params.q!r}")
         a *= -params.c / denom

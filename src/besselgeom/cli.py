@@ -289,12 +289,15 @@ def figure_record(figure: int, low: float, high: float, step: float) -> dict:
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     n = int((high - low) / step + 1e-9)
-    rows = []
-    for i in range(n + 1):
-        x = low + i * step
-        if abs(x - spec.singularity) < SINGULAR_SKIP:
-            continue  # drop the singular sample instead of aborting the grid
-        rows.append({"x": x, "g": figure_eval(figure, x)})
+    with np.errstate(over="ignore", invalid="ignore"):  # saturate silently, as floats do
+        xs = low + np.arange(n + 1) * step  # the IEEE operations of low + i * step
+        # drop the singular sample instead of aborting the grid
+        xs = xs[~(np.abs(xs - spec.singularity) < SINGULAR_SKIP)]
+        bad = np.flatnonzero(~np.isfinite(xs))
+        if bad.size:
+            raise DomainError(f"x must be finite, got {float(xs[bad[0]])!r}")
+        gs = spec.func(xs)
+    rows = [{"x": x, "g": g} for x, g in zip(xs.tolist(), gs.tolist())]
     result = {"label": spec.label, "singularity": spec.singularity, "rows": rows}
     inputs = {"figure": figure, "low": low, "high": high, "step": step}
     return _record("figure", inputs, result)

@@ -33,7 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable
+
+import numpy as np
 
 from .bessel import BesselParams
 from .criteria import ClassSpec
@@ -354,28 +357,45 @@ def consistency_audit(
     beta = 1 cases are audited on the (p, alpha) sub-grid with beta fixed
     at 1.  Returns a JSON-ready report with per-criterion agreement counts,
     example disagreement points, and the pinned reference disagreement.
+
+    For each criterion and order p, both displays are evaluated in one array
+    pass over the (alpha, beta) sub-grid; the exponentials depend on p alone
+    and stay scalar math.exp calls.  Every value is bit-equal to the one
+    special_case_condition returns at that point, and examples are the first
+    disagreements in (p, alpha, beta) order.
     """
     criteria_report: dict = {}
     for cid, case in _SPECIAL_CASES.items():
         beta_axis = (1.0,) if case.beta1 else betas
+        # ClassSpec validates every pair, in grid order
+        classes = [ClassSpec(a, b) for a in alphas for b in beta_axis] if p_values else []
+        # the ClassSpec fields _starlike_value and _convex_value read, as arrays
+        grid = SimpleNamespace(
+            alpha=np.array([c.alpha for c in classes], dtype=float),
+            beta=np.array([c.beta for c in classes], dtype=float),
+            threshold=np.array([c.threshold for c in classes], dtype=float),
+        )
         points = agreements = 0
         examples: list[dict] = []
         min_abs_printed = math.inf
-        for p in p_values:
-            for alpha in alphas:
-                for beta in beta_axis:
-                    cls = ClassSpec(alpha, beta)
-                    printed = special_case_condition(cid, p, cls, Variant.PRINTED)
-                    derived = special_case_condition(cid, p, cls, Variant.DERIVED)
-                    points += 1
-                    min_abs_printed = min(min_abs_printed, abs(printed.value))
-                    if printed.holds == derived.holds:
-                        agreements += 1
-                    elif len(examples) < max_examples:
-                        examples.append({
-                            "p": p, "alpha": alpha, "beta": beta,
-                            "printed": printed.value, "derived": derived.value,
-                        })
+        value = _convex_value if case.convex else _starlike_value
+        for p in p_values if classes else ():
+            if not p > case.p_low:
+                raise DomainError(f"{cid.value} requires p > {case.p_low}, got {p!r}")
+            q = p + (case.b + 1.0) / 2.0
+            with np.errstate(over="ignore", invalid="ignore"):  # floats saturate silently
+                printed = case.printed(p, grid.alpha, grid.beta)
+                derived = value(q, -case.c, grid) * case.factor(p)
+            agree = (printed >= 0.0) == (derived >= 0.0)
+            points += agree.size
+            agreements += int(np.count_nonzero(agree))
+            # fmin skips NaN, as the scalar min(m, nan) == m does
+            min_abs_printed = min(min_abs_printed, float(np.fmin.reduce(np.abs(printed))))
+            for i in np.flatnonzero(~agree)[:max(max_examples - len(examples), 0)].tolist():
+                examples.append({
+                    "p": p, "alpha": classes[i].alpha, "beta": classes[i].beta,
+                    "printed": float(printed[i]), "derived": float(derived[i]),
+                })
         criteria_report[cid.name] = {
             "points": points,
             "agreements": agreements,

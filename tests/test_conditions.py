@@ -1,8 +1,11 @@
 """Closed-form sufficient conditions and the printed-vs-derived audit."""
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselgeom import (
     AGREEING_CRITERIA,
@@ -24,6 +27,7 @@ from besselgeom import (
     starlike_condition,
     starlike_sum,
 )
+from besselgeom import conditions
 from conftest import draw_chain_inputs
 
 CLS01 = ClassSpec(0.0, 1.0)
@@ -232,3 +236,87 @@ def test_general_condition_overflow_zero_coefficient():
     assert cls.threshold == 0.0
     with pytest.raises(DomainError):
         convex_condition(BesselParams(1.0, 1.0, 5000.0), cls, Variant.PRINTED)
+
+
+# ---------------------------------------------------------------------------
+# the array audit against a scalar loop, one call per point (the oracle)
+
+
+def scalar_consistency_audit(p_values, alphas, betas, max_examples=5):
+    """The per-point audit: two special_case_condition calls per grid point."""
+    criteria_report = {}
+    for cid, case in conditions._SPECIAL_CASES.items():
+        beta_axis = (1.0,) if case.beta1 else betas
+        points = agreements = 0
+        examples = []
+        min_abs_printed = math.inf
+        for p in p_values:
+            for alpha in alphas:
+                for beta in beta_axis:
+                    cls = ClassSpec(alpha, beta)
+                    printed = special_case_condition(cid, p, cls, Variant.PRINTED)
+                    derived = special_case_condition(cid, p, cls, Variant.DERIVED)
+                    points += 1
+                    min_abs_printed = min(min_abs_printed, abs(printed.value))
+                    if printed.holds == derived.holds:
+                        agreements += 1
+                    elif len(examples) < max_examples:
+                        examples.append({
+                            "p": p, "alpha": alpha, "beta": beta,
+                            "printed": printed.value, "derived": derived.value,
+                        })
+        criteria_report[cid.name] = {
+            "points": points,
+            "agreements": agreements,
+            "disagreements": points - agreements,
+            "disagreement_examples": examples,
+            "min_abs_printed": min_abs_printed,
+        }
+    return criteria_report
+
+
+def _audit_text(report):
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_audit_equals_scalar_oracle_default_grid():
+    report = consistency_audit()
+    want = scalar_consistency_audit(
+        conditions.AUDIT_P_VALUES, conditions.AUDIT_ALPHAS, conditions.AUDIT_BETAS)
+    assert _audit_text(report["criteria"]) == _audit_text(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p_values=st.lists(st.floats(-0.999, 40.0), max_size=4),
+    alphas=st.lists(st.floats(0.0, 0.999), max_size=3),
+    betas=st.lists(st.floats(1e-3, 1.0), max_size=3),
+    max_examples=st.integers(0, 6),
+)
+def test_audit_equals_scalar_oracle_drawn(p_values, alphas, betas, max_examples):
+    p_values, alphas, betas = tuple(p_values), tuple(alphas), tuple(betas)
+    report = consistency_audit(p_values, alphas, betas, max_examples)
+    want = scalar_consistency_audit(p_values, alphas, betas, max_examples)
+    assert _audit_text(report["criteria"]) == _audit_text(want)
+
+
+def test_audit_domain_errors_match_scalar_oracle():
+    for args in [((-1.2,), (0.0,), (1.0,)), ((1.0,), (1.0,), (1.0,)), ((1.0,), (0.5,), (0.0,))]:
+        with pytest.raises(DomainError) as want:
+            scalar_consistency_audit(*args)
+        with pytest.raises(DomainError) as got:
+            consistency_audit(*args)
+        assert str(got.value) == str(want.value)
+
+
+def test_audit_calls_special_case_condition_only_for_the_pin(monkeypatch):
+    calls = []
+    real = conditions.special_case_condition
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "special_case_condition", counting)
+    consistency_audit()
+    assert calls == [PINNED_DISAGREEMENT["criterion"]] * 2

@@ -1,7 +1,9 @@
 """Figure functions, bisection thresholds, positivity scans."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,9 @@ from besselgeom import (
     find_all_thresholds,
     find_threshold,
     positivity_scan,
+    thresholds,
 )
+from besselgeom.cli import POSITIVITY_HIGH, POSITIVITY_MARGIN, POSITIVITY_STEP, main
 
 # Frozen roots at tol = 1e-12 (bisection against the exact displays).
 ROOTS = {
@@ -133,3 +137,141 @@ def test_labels_cover_six_figures():
 def test_figures_finite_right_of_singularity(x):
     for fid in (1, 2, 4, 5):
         assert math.isfinite(figure_eval(fid, x))
+
+
+# ---------------------------------------------------------------------------
+# the array sign scan against a scalar scan, one call per point (the oracle)
+
+
+def scalar_sign_changes(func, low, high, step):
+    """The scalar sign scan: one func call per grid point (the oracle)."""
+    out = []
+    n = int(math.floor((high - low) / step + 1e-9))
+    xs = [low + i * step for i in range(n + 1)]
+    if xs[-1] < high:
+        xs.append(high)
+    fa = func(xs[0])
+    for a, b in zip(xs, xs[1:]):
+        fb = func(b)
+        if fa * fb < 0.0 or fb == 0.0:
+            out.append((a, b))
+        fa = fb
+    return out
+
+
+def _windows(spec):
+    """The two threshold search windows and the CLI's positivity window."""
+    s = spec.singularity
+    return [
+        (s - thresholds.WINDOW, s - thresholds.SING_MARGIN, thresholds.SCAN_STEP),
+        (s + thresholds.SING_MARGIN, s + thresholds.WINDOW, thresholds.SCAN_STEP),
+        (s + POSITIVITY_MARGIN, POSITIVITY_HIGH, POSITIVITY_STEP),
+    ]
+
+
+def _grid(low, high, step):
+    n = int(math.floor((high - low) / step + 1e-9))
+    xs = [low + i * step for i in range(n + 1)]
+    return xs + [high] if xs[-1] < high else xs
+
+
+def _assert_bit_equal(func, xs):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = func(np.array(xs))
+    want = np.array([func(x) for x in xs])
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURES))
+def test_array_g_bit_equal_on_every_window_point(fid):
+    spec = FIGURES[fid]
+    for low, high, step in _windows(spec):
+        _assert_bit_equal(spec.func, _grid(low, high, step))
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURES))
+def test_array_g_bit_equal_next_to_singularity(fid):
+    # right of the singularity exp overflows (the scalar _exp saturates to
+    # inf); left of it exp underflows to 0; both sides of the 709.78 edge
+    s = FIGURES[fid].singularity
+    offsets = [10.0 ** -k for k in range(1, 16)]
+    offsets += [1.0 / t for t in (708.9, 709.0, 709.1, 709.78, 709.79, 710.0, 1e4)]
+    xs = [s + d for d in offsets] + [s - d for d in offsets]
+    _assert_bit_equal(FIGURES[fid].func, xs)
+    assert any(math.isinf(FIGURES[fid].func(x)) for x in xs)
+
+
+def test_array_exp_saturates_where_scalar_does():
+    ts = [-1e6, -745.2, 0.0, 1.0, 708.9, 709.0, 709.78, 709.7827128933840,
+          709.7827128933841, 709.79, 710.0, 1e6, math.inf, -math.inf]
+    got = thresholds._exp(np.array(ts))
+    want = np.array([thresholds._exp(t) for t in ts])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert math.isinf(got[-3]) and got[-1] == 0.0
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURES))
+def test_brackets_equal_scalar_scan(fid):
+    spec = FIGURES[fid]
+    for low, high, step in _windows(spec):
+        assert thresholds._sign_changes(spec.func, low, high, step) == (
+            scalar_sign_changes(spec.func, low, high, step))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fid=st.sampled_from(sorted(FIGURES)),
+    left=st.booleans(),
+    gap=st.floats(1e-9, 50.0),
+    width=st.floats(0.0, 40.0),
+    step=st.floats(2e-3, 5.0),
+)
+def test_brackets_equal_scalar_scan_drawn(fid, left, gap, width, step):
+    # a window on one side of the singularity, as the searches use
+    spec = FIGURES[fid]
+    s = spec.singularity
+    low, high = (s - gap - width, s - gap) if left else (s + gap, s + gap + width)
+    if not low < high:
+        return
+    assert thresholds._sign_changes(spec.func, low, high, step) == (
+        scalar_sign_changes(spec.func, low, high, step))
+
+
+def test_brackets_equal_scalar_scan_with_exact_zeros():
+    # zeros on grid points: a bracket ends at each, none starts there
+    def func(x):
+        return (x - 1.0) * (x - 1.5) * (x + 0.25)
+
+    for low, high, step in [(-1.0, 2.0, 0.25), (-1.0, 2.1, 0.25), (1.0, 1.5, 0.5)]:
+        got = thresholds._sign_changes(func, low, high, step)
+        assert got == scalar_sign_changes(func, low, high, step)
+    assert thresholds._sign_changes(func, -1.0, 2.0, 0.25) == [
+        (-0.5, -0.25), (0.75, 1.0), (1.25, 1.5)]
+    # a sign change inside the short last interval, which ends at high
+    assert thresholds._sign_changes(lambda x: x - 1.55, -1.0, 1.6, 0.25) == [(1.5, 1.6)]
+
+
+def test_threshold_json_unchanged_through_counting_passthrough(capsys, monkeypatch):
+    # a traced run swaps each figure for a copy whose func counts its calls;
+    # the scan must go through spec.func, never find figures by identity
+    def outputs():
+        out = {}
+        for fid in sorted(FIGURES):
+            assert main(["threshold", "--figure", str(fid)]) == 0
+            out[fid] = capsys.readouterr().out
+        return out
+
+    plain = outputs()
+    calls = dict.fromkeys(FIGURES, 0)
+
+    def counting(fid, func):
+        def count(*args):
+            calls[fid] += 1
+            return func(*args)
+        return count
+
+    for fid, spec in list(FIGURES.items()):
+        monkeypatch.setitem(FIGURES, fid, dataclasses.replace(spec, func=counting(fid, spec.func)))
+    assert outputs() == plain
+    assert all(n > 0 for n in calls.values())

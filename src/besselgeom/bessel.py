@@ -18,11 +18,16 @@ Specializing (b, c) = (1, 1) gives w = J_p, (b, c) = (1, -1) gives w = I_p,
 and (b, c) = (2, 1) gives 2/sqrt(pi) times the spherical function j_p in
 its conventional normalization.
 
-Every evaluation returns a SeriesValue carrying a tail bound that is valid
-by construction: summation stops only once the remaining terms are
-dominated by a geometric series with ratio <= 1/2, and the bound
-|next term| / (1 - ratio) covers the discarded tail.  Accumulation is
-compensated (Kahan), so the returned values are accurate to a few ulps.
+One private kernel, _coefficients, produces the coefficients a_k of u by
+their ratio recurrence and decides where to truncate, for every layer of
+the package: the series evaluations here, the weighted coefficient sums of
+criteria and the coefficient array of the disk layer.  Each caller gives a
+weight w(k) and a radius rho; the kernel stops only once the discarded
+terms w(k) |a_k| rho^(k-1) are dominated by a geometric series with ratio
+r <= 1/2, and |first discarded term| / (1 - r) bounds them.  So every
+SeriesValue carries a tail bound that is valid by construction.
+Accumulation is compensated (Kahan), so the returned values are accurate
+to a few ulps.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ MAX_TERMS = 10_000
 DEFAULT_EPS = 1e-13
 
 _EPS_ULP = sys.float_info.epsilon
+_TINY = math.ulp(0.0)  # the smallest positive double
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -120,8 +126,9 @@ def params_of_kind(
 class SeriesValue:
     """A truncated series evaluation.
 
-    tail_bound >= |true value - value| by the geometric-majorant stop rule;
-    terms_used counts the terms actually accumulated (always >= 2).
+    tail_bound >= |true value - value| by the kernel's geometric-majorant
+    stop rule; terms_used counts the terms actually accumulated: the K of
+    the kernel, which exceeds MIN_TERMS, or 2 at z = 0.
     """
 
     value: complex | float
@@ -142,54 +149,103 @@ def _gamma(x: float) -> float:
         raise PoleError(f"Gamma({x!r}) is at a pole") from exc
 
 
-def coefficient(params: BesselParams, k: int) -> float:
-    """Taylor coefficient a_k of u: a_1 = 1, a_k = (-c)^(k-1) / ((q)_(k-1) (k-1)!).
+def _u2_weight(k: int) -> float:
+    """Weight of a_k in u''(z) z = sum_k k (k-1) a_k z^(k-1)."""
+    return k * (k - 1.0)
 
-    Computed by the stable ratio recurrence a_(k+1) = a_k * (-c) / ((q+k-1) k),
-    which avoids intermediate overflow of (q)_(k-1) (k-1)! for large k.
+
+def _coefficients(q: float, x: float, eps: float, rho: float, weight, terms: int = 0):
+    """a_1..a_(K+1) of the ratio recurrence, the majorant ratio r and the tail bound.
+
+    The recurrence is a_1 = 1, a_(k+1) = a_k x / ((q + (k - 1)) k); with
+    x = -c it gives the Taylor coefficients a_k = (-c)^(k-1) / ((q)_(k-1)
+    (k-1)!) of u without the intermediate overflow of (q)_(k-1) (k-1)!.
+    Forming q + (k - 1) keeps the low bits of a small q that (q + k) - 1
+    would round away at k = 1.  A zero denominator raises PoleError.
+
+    This is the one stop rule of the package.  K is the first index above
+    MIN_TERMS with q + K > 0 at which
+
+        r = |x| rho w(K+2) / ((q + K) (K + 1) w(K+1))  <=  1/2   and
+        bound = w(K+1) |a_(K+1)| rho^K / (1 - r)        <   eps.
+
+    Once q + k > 0 the term ratios |x| rho / ((q + k) (k + 1)) fall with k,
+    and so do the weight ratios w(k+1) / w(k) of every weight used here, so
+    the discarded terms w(k) |a_k| rho^(k-1), k > K, are dominated by a
+    geometric series of ratio r and sum to at most bound.  a_(K+1), the
+    first discarded coefficient, is the last entry of the list.  Raises
+    NoConvergenceError when no K <= MAX_TERMS qualifies.
+
+    terms > 0 turns the stop rule off: the list is then exactly
+    a_1..a_terms, and r and bound are 0.
     """
+    a = [1.0]
+    ak = 1.0
+    scale = abs(x) * rho
+    rho_k = rho  # rho^k by repeated products, which saturate instead of raising
+    for k in range(1, terms or MAX_TERMS + 1):
+        denom = (q + (k - 1.0)) * k
+        if denom == 0.0:
+            raise PoleError(f"(q)_{k} vanishes for q = {q!r}")
+        ak = ak * x / denom
+        a.append(ak)  # a_1 .. a_(k+1)
+        if not terms and k > MIN_TERMS and q + k > 0.0:
+            r = scale / ((q + k) * (k + 1.0)) * (weight(k + 2) / weight(k + 1))
+            if r <= 0.5:
+                bound = abs(weight(k + 1) * ak) * rho_k / (1.0 - r)
+                if bound < eps:
+                    return a, r, bound
+        rho_k *= rho
+    if terms:
+        return a, 0.0, 0.0
+    raise NoConvergenceError(f"tail bound {eps!r} not certified within {MAX_TERMS} terms")
+
+
+def coefficient(params: BesselParams, k: int) -> float:
+    """Taylor coefficient a_k of u: a_1 = 1, a_k = (-c)^(k-1) / ((q)_(k-1) (k-1)!)."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError(f"k must be an int, got {k!r}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    a = 1.0
-    for j in range(1, k):
-        denom = (params.q + (j - 1.0)) * j  # q + (j-1) keeps the low bits of a small q
-        if denom == 0.0:
-            raise PoleError(f"(q)_{k-1} vanishes for q = {params.q!r}")
-        a *= -params.c / denom
-    return a
+    return _coefficients(params.q, -params.c, 0.0, 0.0, None, terms=k)[0][-1]
 
 
-def _kahan_step(total, comp, term):
-    """One compensated-summation step; works componentwise for complex."""
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _kahan_sum(terms, zero=0.0):
+    """Compensated (Kahan) sum of terms, in order; works componentwise for complex."""
+    total = comp = zero
+    for term in terms:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
 
 
-def _series_sums(
-    params: BesselParams,
-    z: complex | float,
-    eps: float,
-    want_derivatives: bool,
-    max_terms: int,
-):
-    """Shared summation core for eval_u and eval_u_derivatives.
+def eval_u(params: BesselParams, z: complex | float, eps: float = DEFAULT_EPS) -> SeriesValue:
+    """Evaluate u(z) = sum_{k>=0} (-c)^k z^(k+1) / ((q)_k k!) with tail_bound < eps.
 
-    Terms of u are t_k = (-c)^k z^(k+1) / ((q)_k k!) for k >= 0, with
-    |t_(k+1) / t_k| = |c| |z| / (|q+k| (k+1)).  Once q+k > 0 this ratio
-    decreases in k, so when it drops to r <= 1/2 the remaining tail is
-    bounded by |t_(k+1)| / (1 - r).  The derivative series carry the extra
-    factors (k+1) and (k+1)k; their term ratios gain (k+2)/(k+1) and
-    (k+2)/k, so a single conservative ratio r* = ratio * (k+2)/max(k,1)
-    dominates all three series at once.
+    Requires |z| <= 4 (the unit disk plus margin).  Real z in gives a real
+    value out; complex z stays complex.  This is the first component of
+    eval_u_derivatives.
+    """
+    return eval_u_derivatives(params, z, eps)[0]
+
+
+def eval_u_derivatives(
+    params: BesselParams, z: complex | float, eps: float = DEFAULT_EPS
+) -> tuple[SeriesValue, SeriesValue, SeriesValue]:
+    """Evaluate (u, u', u'') by term-wise differentiation, each with tail_bound < eps.
+
+    u = sum_k a_k z^k, u' = sum_k k a_k z^(k-1) and u'' = sum_k k (k-1) a_k
+    z^(k-2) are summed over the kernel's a_1..a_K.  The kernel runs with the
+    u'' weight k (k-1), whose majorant ratio also dominates the term ratios
+    of u and u', at radius |z| and with eps |z|: it bounds
+    sum_(k>K) k (k-1) |a_k| |z|^(k-1), which is |z| times the u'' tail, so
+    every lane's tail is below eps.  u'(0) = 1 and u''(0) = 2 (-c) / q
+    exactly.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
-    if max_terms < 2:
-        raise DomainError(f"max_terms must be >= 2, got {max_terms}")
     az = abs(z)
     if az > MAX_ABS_Z:
         raise DomainError(f"|z| = {az!r} exceeds the working region |z| <= {MAX_ABS_Z}")
@@ -200,96 +256,40 @@ def _series_sums(
     zero = complex(0.0) if is_complex else 0.0
 
     if az == 0.0:
-        u = SeriesValue(zero, 2, 0.0)
-        if not want_derivatives:
-            return (u,)
         second = (2.0 * (-c) / q) * one
-        return u, SeriesValue(one, 2, 0.0), SeriesValue(second, 2, 0.0)
+        return SeriesValue(zero, 2, 0.0), SeriesValue(one, 2, 0.0), SeriesValue(second, 2, 0.0)
 
-    # g_k = (-c)^k z^k / ((q)_k k!); u sums g_k * z, u' sums (k+1) g_k,
-    # u'' sums (k+1) k g_k / z.
-    g = one
-    s0, c0 = g * z, zero
-    s1, c1 = g, zero
-    s2, c2 = zero, zero
+    # the floor lets a subnormal |z|, where every discarded term is 0, stop
+    a, _, bound = _coefficients(q, -c, max(eps * az, _TINY), az, _u2_weight)
+    n = len(a) - 1  # K: a_1 .. a_K are summed, a_(K+1) is the first discarded
 
-    k = 0
-    while True:
-        denom = (q + k) * (k + 1.0)
-        if denom == 0.0:
-            raise PoleError(f"(q)_{k+1} vanishes for q = {params.q!r}")
-        g_next = g * (-c) * z / denom
-        summed = k + 1  # terms t_0 .. t_k are in the accumulators
-
-        kn = k + 1  # index of the candidate first discarded term
-        if summed >= MIN_TERMS and q + kn > 0.0:
-            ratio = abs(c) * az / ((q + kn) * (kn + 1.0))
-            # (kn+2)/kn covers the extra term-ratio factor of the u'' series
-            # (and a fortiori those of u and u'), so one r works for all.
-            r = ratio * (kn + 2.0) / kn if want_derivatives else ratio
-            if r <= 0.5:
-                mag = abs(g_next)
-                tail0 = mag * az / (1.0 - r)
-                if not want_derivatives:
-                    if tail0 < eps:
-                        return (SeriesValue(s0, summed, tail0),)
-                else:
-                    tail1 = (kn + 1.0) * mag / (1.0 - r)
-                    tail2 = (kn + 1.0) * kn * mag / az / (1.0 - r)
-                    if tail0 < eps and tail1 < eps and tail2 < eps:
-                        return (
-                            SeriesValue(s0, summed, tail0),
-                            SeriesValue(s1, summed, tail1),
-                            SeriesValue(s2, summed, tail2),
-                        )
-
-        if summed + 1 > max_terms:
-            raise NoConvergenceError(
-                f"tail bound {eps!r} not certified within {max_terms} terms"
-            )
-        g = g_next
-        s0, c0 = _kahan_step(s0, c0, g * z)
-        if want_derivatives:
-            s1, c1 = _kahan_step(s1, c1, (k + 2.0) * g)
-            s2, c2 = _kahan_step(s2, c2, (k + 2.0) * (k + 1.0) * g / z)
-        k += 1
+    # three compensated (Kahan) sums in one pass; _kahan_sum on a generator
+    # per lane would make a short series about a fifth slower
+    u = up = upp = c0 = c1 = c2 = zero
+    zk = one  # z^(k-1)
+    for k in range(1, n + 1):
+        t = a[k - 1] * zk
+        y = t * z - c0
+        s = u + y
+        c0 = (s - u) - y
+        u = s
+        y = k * t - c1
+        s = up + y
+        c1 = (s - up) - y
+        up = s
+        y = k * (k - 1.0) * t / z - c2
+        s = upp + y
+        c2 = (s - upp) - y
+        upp = s
+        zk *= z
+    return (
+        SeriesValue(u, n, bound * az / ((n + 1.0) * n)),
+        SeriesValue(up, n, bound / n),
+        SeriesValue(upp, n, bound / az),
+    )
 
 
-def eval_u(
-    params: BesselParams,
-    z: complex | float,
-    eps: float = DEFAULT_EPS,
-    max_terms: int = MAX_TERMS,
-) -> SeriesValue:
-    """Evaluate u(z) = sum_{k>=0} (-c)^k z^(k+1) / ((q)_k k!) with tail_bound < eps.
-
-    Requires |z| <= 4 (the unit disk plus margin).  Real z in gives a real
-    value out; complex z stays complex.
-    """
-    (sv,) = _series_sums(params, z, eps, want_derivatives=False, max_terms=max_terms)
-    return sv
-
-
-def eval_u_derivatives(
-    params: BesselParams,
-    z: complex | float,
-    eps: float = DEFAULT_EPS,
-    max_terms: int = MAX_TERMS,
-) -> tuple[SeriesValue, SeriesValue, SeriesValue]:
-    """Evaluate (u, u', u'') by term-wise differentiation, each with its own tail bound.
-
-    u'(0) = 1 and u''(0) = 2 (-c) / q exactly.
-    """
-    res = _series_sums(params, z, eps, want_derivatives=True, max_terms=max_terms)
-    return res  # type: ignore[return-value]
-
-
-def eval_w(
-    params: BesselParams,
-    x: float,
-    eps: float = DEFAULT_EPS,
-    max_terms: int = MAX_TERMS,
-) -> SeriesValue:
+def eval_w(params: BesselParams, x: float, eps: float = DEFAULT_EPS) -> SeriesValue:
     """Evaluate the unnormalized series w(x) = u(x^2/4) * (x/2)^(p-2) / Gamma(q).
 
     Only real x > 0 is accepted (the principal real power x^p needs no
@@ -300,7 +300,7 @@ def eval_w(
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
     scale = (x / 2.0) ** (params.p - 2.0) / _gamma(params.q)
-    sv = eval_u(params, x * x / 4.0, eps, max_terms)
+    sv = eval_u(params, x * x / 4.0, eps)
     value = sv.value * scale
     tail = sv.tail_bound * abs(scale) + 2.0 * _EPS_ULP * abs(value)
     return SeriesValue(value, sv.terms_used, tail)

@@ -20,20 +20,15 @@ Non-finite values can reach the output only through saturation of auxiliary
 quantities; they serialize as JavaScript-style Infinity literals, which the
 stdlib json module reads back.
 
-Threading: scan evaluates the disk layer once per order p (the rows of one p
-differ only in alpha and beta) and fans the p values, not the rows, across a
-thread pool.  The worker count is --parallel, overridden by the
-BESSEL_GEOM_THREADS environment variable (0 means one worker per CPU).  Row
-order, and therefore output bytes, never depends on the worker count.
+scan evaluates the disk layer once per order p: the rows of one p differ only
+in alpha and beta.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -49,6 +44,7 @@ from .thresholds import (
     figure_eval,
     find_all_thresholds,
     positivity_scan,
+    sample_grid,
 )
 
 SCHEMA_VERSION = "1.0"
@@ -183,18 +179,6 @@ def _steps_flag(text: str) -> tuple[int, int, int]:
     raise argparse.ArgumentTypeError(f"expected N or N1,N2,N3 (each >= 1), got {text!r}")
 
 
-def _resolve_workers(parallel: int) -> int:
-    env = os.environ.get("BESSEL_GEOM_THREADS")
-    if env is not None:
-        try:
-            parallel = int(env)
-        except ValueError:
-            raise DomainError(f"BESSEL_GEOM_THREADS must be an integer, got {env!r}")
-    if parallel < 0:
-        raise DomainError(f"worker count must be >= 0, got {parallel!r}")
-    return parallel if parallel > 0 else (os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # record builders (pure: no printing, no exiting; tests call these directly)
 
@@ -284,18 +268,10 @@ def figure_record(figure: int, low: float, high: float, step: float) -> dict:
     spec = FIGURES.get(figure)
     if spec is None:
         raise DomainError(f"figure id must be in 1..6, got {figure!r}")
-    if low >= high:
-        raise DomainError(f"empty range: low {low!r} >= high {high!r}")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
-    n = int((high - low) / step + 1e-9)
+    xs = sample_grid(low, high, step)
+    # drop the singular sample instead of aborting the grid
+    xs = xs[~(np.abs(xs - spec.singularity) < SINGULAR_SKIP)]
     with np.errstate(over="ignore", invalid="ignore"):  # saturate silently, as floats do
-        xs = low + np.arange(n + 1) * step  # the IEEE operations of low + i * step
-        # drop the singular sample instead of aborting the grid
-        xs = xs[~(np.abs(xs - spec.singularity) < SINGULAR_SKIP)]
-        bad = np.flatnonzero(~np.isfinite(xs))
-        if bad.size:
-            raise DomainError(f"x must be finite, got {float(xs[bad[0]])!r}")
         gs = spec.func(xs)
     rows = [{"x": x, "g": g} for x, g in zip(xs.tolist(), gs.tolist())]
     result = {"label": spec.label, "singularity": spec.singularity, "rows": rows}
@@ -311,7 +287,6 @@ def scan_record(
     beta_range: tuple[float, float],
     klass: str,
     steps: tuple[int, int, int],
-    workers: int = 1,
 ) -> dict:
     star = klass == "star"
     cond = starlike_condition if star else convex_condition
@@ -323,35 +298,26 @@ def scan_record(
     betas = np.linspace(beta_range[0], beta_range[1], steps[2]).tolist()
     pairs = [(a, bt) for a in alphas for bt in betas]
 
-    def classify(p: float) -> list[dict]:
-        """The rows of order p, in grid order; the disk layer runs once for all of them."""
+    rows = []
+    consistent = True
+    for p in ps:  # the disk layer runs once for all rows of one p
         params = BesselParams(p, b, c)
         classes = [ClassSpec(a, bt) for a, bt in pairs]
         verdicts = [(cond(params, cls), lem(params, cls)) for cls in classes]
         ests = sup_estimates(params, classes, kind, DEFAULT_GRID)
-        rows = []
         for (a, bt), (thm, rep), est in zip(pairs, verdicts, ests):
-            bad = (thm.holds and rep.status is SumStatus.FAILS) or (
+            if (thm.holds and rep.status is SumStatus.FAILS) or (
                 rep.status is SumStatus.HOLDS and est.violations > 0
-            )
+            ):
+                consistent = False
             rows.append({
                 "p": p, "alpha": a, "beta": bt,
                 "theorem": "holds" if thm.holds else "fails",
                 "lemma": rep.status.value,
                 "disk_max": est.max_quotient,
-                "consistent": not bad,
             })
-        return rows
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_p = list(pool.map(classify, ps))  # map preserves grid order
-    else:
-        per_p = [classify(p) for p in ps]
-    rows = [row for block in per_p for row in block]
-
-    flags = [r.pop("consistent") for r in rows]
-    result = {"rows": rows, "consistent": all(flags)}
+    result = {"rows": rows, "consistent": consistent}
     inputs = {
         "b": b, "c": c,
         "p_range": list(p_range),
@@ -401,10 +367,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args.parallel)
     record = scan_record(
         args.b, args.c, args.p_range, args.alpha_range, args.beta_range,
-        args.klass, args.steps, workers,
+        args.klass, args.steps,
     )
     out = ["p,alpha,beta,theorem,lemma,disk_max"]
     for r in record["result"]["rows"]:
@@ -468,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--beta-range", type=_range_flag, required=True, metavar="LO,HI")
     ps.add_argument("--class", dest="klass", choices=("star", "convex"), required=True)
     ps.add_argument("--steps", type=_steps_flag, required=True, metavar="N[,N2,N3]")
-    ps.add_argument("--parallel", type=int, default=1)
+    ps.add_argument("--parallel", type=int, default=1,
+                    help="accepted for compatibility and ignored: scans run serially")
     ps.set_defaults(handler=_cmd_scan)
     return ap
 

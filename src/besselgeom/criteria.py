@@ -12,8 +12,9 @@ S*(alpha, beta), and at the coefficient level the convex weight is the
 starlike weight applied to the coefficients k a_k.
 
 For the normalized Bessel-type series, |a_k| = |c|^(k-1) / ((q)_(k-1) (k-1)!)
-decays factorially, so both sums are evaluated with the same rigorous
-geometric-majorant truncation used by the series evaluator.  Reports carry a
+decays factorially.  Both sums use the series evaluator's coefficient kernel
+(bessel._coefficients) and its rigorous geometric-majorant truncation, with
+the class weight in place of the derivative weights.  Reports carry a
 tri-state status: a verdict is only HOLDS or FAILS when the tail bound
 cannot flip it, and INDETERMINATE otherwise.
 """
@@ -24,11 +25,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .bessel import MIN_TERMS, BesselParams, _kahan_step, eval_u_derivatives
-from .errors import DomainError, NoConvergenceError
+from .bessel import BesselParams, _coefficients, _kahan_sum, eval_u_derivatives
+from .errors import DomainError
 
 DEFAULT_EPS = 1e-12
-MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -97,21 +97,18 @@ def _weighted_sum(
     convex: bool,
     eps: float,
     as_printed: bool,
-    max_terms: int,
 ) -> SumReport:
     """Sum_{k>=2} weight(k) m_k with m_k = |c|^(k-1) / ((q)_(k-1) (k-1)!).
 
     as_printed replaces |c|^(k-1) by (-c)^(k-1), reproducing the signed form
-    some displays use; the two coincide for c < 0.  The stop rule mirrors the
-    series evaluator: the weight ratios weight(k+1)/weight(k) decrease toward
-    1, so once the combined term ratio drops to r <= 1/2 the discarded tail
-    is at most |next term| / (1 - r).
+    some displays use; the two coincide for c < 0.  The m_k and the tail
+    bound come from the series kernel, at radius 1 and with the class
+    weight, whose ratios weight(k+1)/weight(k) decrease toward 1.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     if not params.q > 0.0:
         raise DomainError(f"criteria require q > 0, got q = {params.q!r}")
-    q = params.q
     alpha, beta = cls.alpha, cls.beta
     signed = -params.c if as_printed else abs(params.c)
 
@@ -119,30 +116,10 @@ def _weighted_sum(
         w = (k - 1.0) + beta * (k + 1.0 - 2.0 * alpha)
         return w * k if convex else w
 
-    total, comp = 0.0, 0.0
-    m = 1.0  # m_k / |c|^(k-1) bookkeeping starts at a_1 = 1
-    k = 1
-    while True:
-        # (q + k) - 1 would round away the low bits of a small q at k = 1
-        m_next = m * signed / ((q + (k - 1.0)) * k)  # m_(k+1)
-        summed = k - 1  # terms for k' = 2 .. k are in the accumulator
-
-        if summed >= MIN_TERMS or m_next == 0.0:
-            ratio = abs(signed) / ((q + k) * (k + 1.0))
-            wr = weight(k + 2) / weight(k + 1)
-            r = ratio * wr
-            if r <= 0.5:
-                tail = abs(weight(k + 1) * m_next) / (1.0 - r)
-                if tail < eps:
-                    return _report(total, tail, cls)
-
-        if summed + 1 > max_terms:
-            raise NoConvergenceError(
-                f"tail bound {eps!r} not certified within {max_terms} terms"
-            )
-        m = m_next
-        k += 1
-        total, comp = _kahan_step(total, comp, weight(k) * m)
+    m, _, tail = _coefficients(params.q, signed, eps, 1.0, weight)
+    # m_2 .. m_K; m_(K+1) is the first discarded
+    total = _kahan_sum([weight(k) * m[k - 1] for k in range(2, len(m))])
+    return _report(total, tail, cls)
 
 
 def starlike_sum(
@@ -150,10 +127,9 @@ def starlike_sum(
     cls: ClassSpec,
     eps: float = DEFAULT_EPS,
     as_printed: bool = False,
-    max_terms: int = MAX_TERMS,
 ) -> SumReport:
     """Starlike coefficient criterion: holds implies u is in S*(alpha, beta)."""
-    return _weighted_sum(params, cls, False, eps, as_printed, max_terms)
+    return _weighted_sum(params, cls, False, eps, as_printed)
 
 
 def convex_sum(
@@ -161,10 +137,9 @@ def convex_sum(
     cls: ClassSpec,
     eps: float = DEFAULT_EPS,
     as_printed: bool = False,
-    max_terms: int = MAX_TERMS,
 ) -> SumReport:
     """Convex coefficient criterion: holds implies u is in K(alpha, beta)."""
-    return _weighted_sum(params, cls, True, eps, as_printed, max_terms)
+    return _weighted_sum(params, cls, True, eps, as_printed)
 
 
 def starlike_sum_closed_form(params: BesselParams, cls: ClassSpec) -> float:

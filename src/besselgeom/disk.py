@@ -15,6 +15,13 @@ a denominator fell below the numerical guard.  At z = 0 both quotients have
 removable limit 0 (w -> 1 and v -> 0 by normalization), so the origin is
 excluded from every grid.
 
+The series behind both quotients are evaluated by Horner's rule from one
+coefficient array a_1..a_(K+1), built by the series kernel of the bessel
+module (the ratio recurrence and its stop rule) with the u'' weight
+k (k-1) at the largest sampled radius: the terms it drops from
+z u''(z) = sum_k k (k-1) a_k z^(k-1) sum to less than SERIES_EPS anywhere
+on the grid, and those it drops from u and z u' are smaller still.
+
 For every accepted (p, b, c) the coefficients a_k are real, so
 u(conj z) = conj u(z) and both quotients take equal values at z and at
 conj z.  Each ring of the grid is therefore built conjugate-symmetric
@@ -43,11 +50,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .bessel import MAX_TERMS, BesselParams, eval_u_derivatives
+from .bessel import BesselParams, _coefficients, _u2_weight, eval_u_derivatives
 from .criteria import ClassSpec
-from .errors import DegenerateError, DomainError, NoConvergenceError
+from .errors import DegenerateError, DomainError
 
 GUARD = 1e-14
+
+# Truncation level of the disk series (see the module docstring).
+SERIES_EPS = 1e-16
 
 DEFAULT_RADII: tuple[float, ...] = (
     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999,
@@ -158,32 +168,6 @@ def convex_quotient(params: BesselParams, z: complex, alpha: float) -> float:
     return abs(v / den)
 
 
-def _coefficient_array(params: BesselParams, rmax: float) -> np.ndarray:
-    """Coefficients a_1..a_K with K chosen so the truncation is negligible.
-
-    K satisfies the same geometric-majorant logic as the scalar evaluator:
-    the term ratio at radius rmax (including the second-derivative weight)
-    is at most 1/2 and the first discarded u'' term is below 1e-16.  Like
-    the scalar evaluator, it raises NoConvergenceError past MAX_TERMS.
-    """
-    q, c = params.q, params.c
-    coeffs = [1.0]
-    k = 1
-    while True:
-        nxt = coeffs[-1] * (-c) / ((q + k - 1.0) * k)
-        coeffs.append(nxt)
-        k += 1
-        if k >= 16 and q + k > 0.0:
-            ratio = abs(c) * rmax / ((q + k) * (k + 1.0)) * (k + 2.0) / k
-            lead = (k + 1.0) * k * abs(nxt) * rmax ** max(k - 2, 0)
-            if ratio <= 0.5 and lead / (1.0 - ratio) < 1e-16:
-                return np.asarray(coeffs)
-        if k > MAX_TERMS:
-            raise NoConvergenceError(
-                f"disk series truncation not certified within {MAX_TERMS} terms"
-            )
-
-
 def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] zs^j, in place on one accumulator."""
     acc = np.zeros_like(zs)
@@ -207,7 +191,7 @@ def sup_estimates(
     leaves distinct; each class then costs a few array passes.
     """
     zs, weights, rmax = _half_rings(grid)
-    a = _coefficient_array(params, rmax)
+    a = np.asarray(_coefficients(params.q, -params.c, SERIES_EPS, rmax, _u2_weight)[0])
     ks = np.arange(1, len(a) + 1, dtype=float)
     if which is QuotientKind.STARLIKE:
         first, second = _horner(a, zs) * zs, _horner(ks * a, zs)  # u, u'

@@ -49,6 +49,9 @@ SCAN_STEP = 0.01
 WINDOW = 100.0
 SING_MARGIN = 1e-6
 
+# Largest number of points sample_grid builds.
+MAX_GRID_POINTS = 1_000_000
+
 
 # Below this exponent math.exp cannot overflow binary64 (log of the largest
 # double is 709.78).
@@ -143,16 +146,42 @@ def figure_eval(fig_id: int, x: float) -> float:
     return spec.func(x)
 
 
+def sample_grid(low: float, high: float, step: float) -> np.ndarray:
+    """The grid low + i * step, i = 0 .. n, with n = floor((high - low) / step + 1e-9).
+
+    Raises DomainError, before allocating anything, unless low < high and
+    step > 0 are finite and the grid has at most MAX_GRID_POINTS points;
+    and when the last point rounds past the largest double.
+    """
+    for name, v in (("low", low), ("high", high), ("step", step)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+    if low >= high:
+        raise DomainError(f"empty range: low {low!r} >= high {high!r}")
+    if step <= 0.0:
+        raise DomainError(f"step must be positive, got {step!r}")
+    span = (high - low) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # also catches high - low overflowing to inf
+        raise DomainError(
+            f"grid of step {step!r} on [{low!r}, {high!r}] has more than "
+            f"{MAX_GRID_POINTS} points"
+        )
+    with np.errstate(over="ignore"):
+        xs = low + np.arange(math.floor(span) + 1) * step  # the IEEE operations of low + i * step
+    if not math.isfinite(xs[-1]):
+        raise DomainError(f"x must be finite, got {float(xs[-1])!r}")
+    return xs
+
+
 def _sign_changes(
     func: Callable, low: float, high: float, step: float
 ) -> list[tuple[float, float]]:
     """Brackets [x, x+step] on which func changes sign (or hits 0 at x+step)."""
-    n = int(math.floor((high - low) / step + 1e-9))
+    xs = sample_grid(low, high, step)
+    if xs[-1] < high:
+        xs = np.append(xs, high)
     # floats overflow to +/-inf silently; so does the array path
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = low + np.arange(n + 1) * step  # the IEEE operations of low + i * step
-        if xs[-1] < high:
-            xs = np.append(xs, high)
         fs = func(xs)
         hits = np.flatnonzero((fs[:-1] * fs[1:] < 0.0) | (fs[1:] == 0.0))
     x = xs.tolist()

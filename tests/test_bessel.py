@@ -192,6 +192,13 @@ def test_u_at_zero_exact():
         assert upp.value == pytest.approx(2.0 * (-params.c) / params.q, rel=1e-15)
 
 
+def test_subnormal_z():
+    # eps |z| underflows to 0 here; every discarded term is 0 and the sum stops
+    u, up, upp = eval_u_derivatives(BesselParams(1.0, 1.0, -1.0), 1e-320)
+    assert (u.value, up.value, upp.value) == (1e-320, 1.0, 1.0)
+    assert u.tail_bound == up.tail_bound == upp.tail_bound == 0.0
+
+
 def test_u_oracle_first_kind():
     sv = eval_u(params_of_kind(BesselKind.FIRST_KIND, 0.0), 1.0, eps=1e-15)
     assert sv.value == pytest.approx(J0_2, rel=1e-12)
@@ -253,9 +260,10 @@ def test_eval_domain_errors():
 
 
 def test_no_convergence_cap():
-    params = BesselParams(1.0, 1.0, 3.0)
+    # |c| = 1e9 at |z| = 4 needs about 9e4 terms, far past the 10,000-term cap
+    params = BesselParams(0.0, 1.0, -1e9)
     with pytest.raises(NoConvergenceError):
-        eval_u(params, 4.0, eps=1e-13, max_terms=5)
+        eval_u(params, 4.0, eps=1e-13)
 
 
 @settings(max_examples=80, deadline=None)

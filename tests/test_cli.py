@@ -165,6 +165,44 @@ def test_check_inconsistency_exits_3(capsys, monkeypatch):
     assert not record["result"]["consistent"]
 
 
+# SHA-256 of the check --mode theorem and --mode lemma JSON, concatenated over
+# CHECK_PARAMS x CHECK_CLASSES x both classes in that order.  The points cover
+# q from 0.01 to 10.75, both signs of c, and the small-q point where forming
+# q + k - 1 as (q + k) - 1 loses bits.  A deliberate change to this output
+# re-pins these hashes, with a note in CHANGES.md saying why the bytes moved.
+CHECK_PARAMS = [
+    (-0.99, 1.0, -1.0),
+    (-0.99, 1.0, 0.3),
+    (-0.9718996164495369, 1.0, -0.08787975874807982),
+    (-0.9718996164495369, 1.0, 0.08787975874807982),
+    (-0.5, 0.5, -25.0),
+    (0.0, 1.0, 1.0),
+    (1.0, 1.0, -0.2),
+    (2.5, 2.0, -3.0),
+    (3.0, 1.0, 1.0),
+    (8.0, 2.0, -1.0),
+    (10.0, 0.5, 40.0),
+]
+CHECK_CLASSES = [(0.0, 1.0), (0.5, 0.5), (0.9, 0.05)]
+PINNED_CHECKS = {
+    "theorem": "680f740c68d7555ae3d056612d47b270d2cc3c5a903d928eedfd1de27c66b3fe",
+    "lemma": "1d391e77203804f5fbec4bb2556ddaad550fd13ef185d71b7b65f67f320b5fd5",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_CHECKS))
+def test_check_json_bytes_pinned(capsys, mode):
+    digest = hashlib.sha256()
+    for p, b, c in CHECK_PARAMS:
+        for alpha, beta in CHECK_CLASSES:
+            for klass in ("star", "convex"):
+                assert main(["check", f"--p={p!r}", f"--b={b!r}", f"--c={c!r}",
+                             f"--alpha={alpha!r}", f"--beta={beta!r}",
+                             "--class", klass, "--mode", mode]) == 0
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PINNED_CHECKS[mode]
+
+
 # ---------------------------------------------------------------------------
 # threshold
 
@@ -254,6 +292,16 @@ def test_figure_rejects_overflowing_sample(capsys):
     assert "x must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["--low=-inf", "--low=nan", "--high=inf", "--step=1e-300"])
+def test_figure_rejects_unbounded_grid(capsys, bound):
+    # each exits 2 before any grid is allocated (1e-300 asks for 1e300 points)
+    argv = {"--low": "--low=0", "--high": "--high=1", "--step": "--step=0.1"}
+    argv[bound.split("=")[0]] = bound
+    assert main(["figure", "--figure", "1", *argv.values()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # SHA-256 of the threshold JSON of every figure and of the figure table at the
 # benchmark's seed-1 arguments.  A deliberate change to this output re-pins
 # these hashes, with a note in CHANGES.md saying why the bytes moved.
@@ -326,13 +374,13 @@ def test_scan_parallel_identical(capsys):
 def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
     # the rows of one p share the disk series: 30 builds for 30 x 3 x 2 rows
     builds = []
-    real = disk._coefficient_array
+    real = disk._coefficients
 
-    def counting(params, rmax):
-        builds.append(params.p)
-        return real(params, rmax)
+    def counting(q, x, eps, rho, weight):
+        builds.append(q)
+        return real(q, x, eps, rho, weight)
 
-    monkeypatch.setattr(disk, "_coefficient_array", counting)
+    monkeypatch.setattr(disk, "_coefficients", counting)
     code = main(["scan", "--b", "1", "--c", "-1", "--p-range", "0,3",
                  "--alpha-range", "0,0.5", "--beta-range", "0.5,1",
                  "--class", "convex", "--steps", "30,3,2"])
@@ -346,9 +394,9 @@ def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
 # re-pins these hashes, with a note in CHANGES.md saying why the bytes moved.
 PINNED_SCANS = [
     (["--b", "1", "--c", "1", "--p-range=-0.9,20", "--class", "star"],
-     "e193c953783d85944f434bfa3deaef8cecf75d3586484f2f422a4e1472bb1ce1"),
+     "199ac5f060d37dcac2e53b649b6403e04f4ede3845d686edd4afc51abe085a94"),
     (["--b", "0.5", "--c=-25", "--p-range=-0.5,30", "--class", "convex"],
-     "2ce97a784f79e083c3d62a5224f59b5301969ec312e509b019a5cba33b9e0b41"),
+     "5237d1c84a3ddc8057fbdec939c2363c1d46e25d561daf13c5fab63e6158e83a"),
 ]
 
 
@@ -358,16 +406,6 @@ def test_scan_csv_bytes_pinned(capsys, args, digest):
                  "--steps", "30,3,1"])
     assert code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-
-def test_scan_env_override(capsys, monkeypatch):
-    main(SCAN_ARGS)
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("BESSEL_GEOM_THREADS", "0")  # auto
-    main(SCAN_ARGS)
-    assert capsys.readouterr().out == serial
-    monkeypatch.setenv("BESSEL_GEOM_THREADS", "abc")
-    assert main(SCAN_ARGS) == 2
 
 
 def test_scan_degenerate_grid_matches_check(capsys):

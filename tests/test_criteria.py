@@ -10,6 +10,7 @@ from besselgeom import (
     BesselParams,
     ClassSpec,
     DomainError,
+    NoConvergenceError,
     SumStatus,
     convex_sum,
     starlike_sum,
@@ -76,6 +77,14 @@ def test_report_fields_consistent(rng):
     assert rep.threshold == cls.threshold
     assert rep.margin == rep.threshold - rep.sum
     assert rep.tail_bound >= 0.0
+
+
+def test_no_convergence_cap():
+    # |c| = 1e9 needs about 4.5e4 terms before the majorant ratio drops to 1/2,
+    # far past the 10,000-term cap
+    params = BesselParams(0.0, 1.0, -1e9)
+    with pytest.raises(NoConvergenceError):
+        starlike_sum(params, ClassSpec(0.0, 1.0))
 
 
 def test_zero_c_trivial():

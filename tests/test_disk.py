@@ -16,6 +16,8 @@ from besselgeom import (
     NoConvergenceError,
     QuotientKind,
     SupEstimate,
+    bessel,
+    coefficient,
     convex_quotient,
     eval_u_derivatives,
     starlike_quotient,
@@ -39,7 +41,10 @@ U_ZERO = -0.010247975388452294  # real zero of u for the BAD parameters
 def full_grid_sup_estimates(params, classes, which, grid=DEFAULT_GRID):
     """Reference: the quotient pipeline on every point of grid.points()."""
     zs = grid.points()
-    a = disk._coefficient_array(params, float(np.max(np.abs(zs))))
+    rmax = float(np.max(np.abs(zs)))
+    a = np.asarray(
+        bessel._coefficients(params.q, -params.c, disk.SERIES_EPS, rmax, bessel._u2_weight)[0]
+    )
     ks = np.arange(1, len(a) + 1, dtype=float)
     if which is QuotientKind.STARLIKE:
         first, second = disk._horner(a, zs) * zs, disk._horner(ks * a, zs)
@@ -274,6 +279,29 @@ def test_series_evaluated_on_half_of_each_ring(monkeypatch):
     monkeypatch.setattr(disk, "_horner", counting)
     sup_estimates(BesselParams(1.0, 1.0, -1.0), [CLS01], QuotientKind.CONVEX)
     assert sizes == [12 * 361, 12 * 361]  # 4,332 of the 8,640 grid points
+
+
+@pytest.mark.parametrize("params", [
+    BesselParams(-0.9718996164495369, 1.0, -0.08787975874807982),  # q = 0.028
+    BAD,
+    BesselParams(1.0, 1.0, 1.0),
+    BesselParams(0.5, 0.5, -25.0),
+    BesselParams(-1.7, 1.0, 3.0),  # q = -0.7
+])
+def test_disk_coefficients_equal_coefficient(monkeypatch, params):
+    # the first Horner lane of the starlike quotient is u / z = sum_k a_k z^(k-1)
+    lanes = []
+    real = disk._horner
+
+    def recording(coeffs, zs):
+        lanes.append(coeffs)
+        return real(coeffs, zs)
+
+    monkeypatch.setattr(disk, "_horner", recording)
+    sup_estimates(params, [CLS01], QuotientKind.STARLIKE)
+    a = lanes[0].tolist()
+    assert len(a) > bessel.MIN_TERMS
+    assert a == [coefficient(params, k) for k in range(1, len(a) + 1)]
 
 
 def test_coefficient_cap_raises():

@@ -117,6 +117,14 @@ def test_positivity_scan_domain():
     assert positivity_scan(1, 5.0, 1.0, 0.01) == []  # empty range
 
 
+@pytest.mark.parametrize("high,step", [(math.inf, 0.1), (10.0, math.nan), (1e7, 1.0)])
+def test_positivity_scan_unbounded_grid(high, step):
+    # a non-finite grid, or one of more than 1,000,000 points, is refused
+    # before anything is allocated
+    with pytest.raises(DomainError):
+        positivity_scan(1, -1.0, high, step)
+
+
 def test_scaling_identities():
     # the spherical displays are fixed multiples of the first-kind displays
     # shifted by one half

@@ -20,14 +20,15 @@ its conventional normalization.
 
 One private kernel, _coefficients, produces the coefficients a_k of u by
 their ratio recurrence and decides where to truncate, for every layer of
-the package: the series evaluations here, the weighted coefficient sums of
-criteria and the coefficient array of the disk layer.  Each caller gives a
-weight w(k) and a radius rho; the kernel stops only once the discarded
-terms w(k) |a_k| rho^(k-1) are dominated by a geometric series with ratio
-r <= 1/2, and |first discarded term| / (1 - r) bounds them.  So every
-SeriesValue carries a tail bound that is valid by construction.
-Accumulation is compensated (Kahan), so the returned values are accurate
-to a few ulps.
+the package: the series evaluations here (which run it on the terms
+a_k z^(k-1), so that a_k and |z|^k never have to be finite on their own),
+the weighted coefficient sums of criteria and the coefficient array of the
+disk layer.  Each caller gives a weight w(k) and a radius rho; the kernel
+stops only once the discarded terms w(k) |a_k| rho^(k-1) are dominated by
+a geometric series with ratio r <= 1/2, and |first discarded term| /
+(1 - r) bounds them.  So every SeriesValue carries a tail bound that is
+valid by construction.  Accumulation is compensated (Kahan), so the
+returned values are accurate to a few ulps.
 """
 
 from __future__ import annotations
@@ -154,12 +155,15 @@ def _u2_weight(k: int) -> float:
     return k * (k - 1.0)
 
 
-def _coefficients(q: float, x: float, eps: float, rho: float, weight, terms: int = 0):
+def _coefficients(
+    q: float, x: complex | float, eps: float, rho: float, weight, terms: int = 0
+):
     """a_1..a_(K+1) of the ratio recurrence, the majorant ratio r and the tail bound.
 
     The recurrence is a_1 = 1, a_(k+1) = a_k x / ((q + (k - 1)) k); with
     x = -c it gives the Taylor coefficients a_k = (-c)^(k-1) / ((q)_(k-1)
-    (k-1)!) of u without the intermediate overflow of (q)_(k-1) (k-1)!.
+    (k-1)!) of u without the intermediate overflow of (q)_(k-1) (k-1)!, and
+    with x = -c z (complex when z is) the terms a_k z^(k-1).
     Forming q + (k - 1) keeps the low bits of a small q that (q + k) - 1
     would round away at k = 1.  A zero denominator raises PoleError.
 
@@ -176,8 +180,11 @@ def _coefficients(q: float, x: float, eps: float, rho: float, weight, terms: int
     first discarded coefficient, is the last entry of the list.  Raises
     NoConvergenceError when no K <= MAX_TERMS qualifies.
 
-    terms > 0 turns the stop rule off: the list is then exactly
-    a_1..a_terms, and r and bound are 0.
+    terms > 0 turns the stop rule off, for coefficient: the list is then
+    exactly a_1..a_terms, r and bound are 0, and eps, rho and weight are
+    not read.  coefficient shares this loop rather than a separate
+    generator of the a_k because the stop rule, which runs once per term,
+    drawing them from such a generator ran about 1.5x slower.
     """
     a = [1.0]
     ak = 1.0
@@ -207,12 +214,16 @@ def coefficient(params: BesselParams, k: int) -> float:
         raise DomainError(f"k must be an int, got {k!r}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    return _coefficients(params.q, -params.c, 0.0, 0.0, None, terms=k)[0][-1]
+    return _coefficients(params.q, -params.c, 0.0, 1.0, None, terms=k)[0][-1]
 
 
-def _kahan_sum(terms, zero=0.0):
-    """Compensated (Kahan) sum of terms, in order; works componentwise for complex."""
-    total = comp = zero
+def _kahan_sum(terms):
+    """Compensated (Kahan) sum of real terms, in order.
+
+    eval_u_derivatives writes the same steps inline for its three lanes,
+    which one pass keeps faster than three calls.
+    """
+    total = comp = 0.0
     for term in terms:
         y = term - comp
         t = total + y
@@ -236,13 +247,13 @@ def eval_u_derivatives(
 ) -> tuple[SeriesValue, SeriesValue, SeriesValue]:
     """Evaluate (u, u', u'') by term-wise differentiation, each with tail_bound < eps.
 
-    u = sum_k a_k z^k, u' = sum_k k a_k z^(k-1) and u'' = sum_k k (k-1) a_k
-    z^(k-2) are summed over the kernel's a_1..a_K.  The kernel runs with the
-    u'' weight k (k-1), whose majorant ratio also dominates the term ratios
-    of u and u', at radius |z| and with eps |z|: it bounds
-    sum_(k>K) k (k-1) |a_k| |z|^(k-1), which is |z| times the u'' tail, so
-    every lane's tail is below eps.  u'(0) = 1 and u''(0) = 2 (-c) / q
-    exactly.
+    With t_k = a_k z^(k-1), u = sum_k t_k z, u' = sum_k k t_k and
+    u'' = sum_k k (k-1) t_k / z are summed over the kernel's t_1..t_K.  The
+    kernel runs on x = -c z at radius 1 with the u'' weight k (k-1), whose
+    majorant ratio also dominates the term ratios of u and u', and with
+    eps |z|: it bounds sum_(k>K) k (k-1) |t_k|, which is |z| times the u''
+    tail, so every lane's tail is below eps.  u'(0) = 1 and
+    u''(0) = 2 (-c) / q exactly.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
@@ -259,29 +270,30 @@ def eval_u_derivatives(
         second = (2.0 * (-c) / q) * one
         return SeriesValue(zero, 2, 0.0), SeriesValue(one, 2, 0.0), SeriesValue(second, 2, 0.0)
 
-    # the floor lets a subnormal |z|, where every discarded term is 0, stop
-    a, _, bound = _coefficients(q, -c, max(eps * az, _TINY), az, _u2_weight)
-    n = len(a) - 1  # K: a_1 .. a_K are summed, a_(K+1) is the first discarded
+    # The kernel runs on x = -c z at radius 1, so its entries are the terms
+    # t_k = a_k z^(k-1) themselves: a_k or |z|^k alone can overflow (or a_k
+    # underflow) where t_k is finite.  The floor lets a subnormal |z|, where
+    # every discarded term is 0, stop.
+    t, _, bound = _coefficients(q, -c * z, max(eps * az, _TINY), 1.0, _u2_weight)
+    n = len(t) - 1  # K: t_1 .. t_K are summed, t_(K+1) is the first discarded
 
     # three compensated (Kahan) sums in one pass; _kahan_sum on a generator
     # per lane would make a short series about a fifth slower
     u = up = upp = c0 = c1 = c2 = zero
-    zk = one  # z^(k-1)
     for k in range(1, n + 1):
-        t = a[k - 1] * zk
-        y = t * z - c0
+        tk = t[k - 1]
+        y = tk * z - c0
         s = u + y
         c0 = (s - u) - y
         u = s
-        y = k * t - c1
+        y = k * tk - c1
         s = up + y
         c1 = (s - up) - y
         up = s
-        y = k * (k - 1.0) * t / z - c2
+        y = k * (k - 1.0) * tk / z - c2
         s = upp + y
         c2 = (s - upp) - y
         upp = s
-        zk *= z
     return (
         SeriesValue(u, n, bound * az / ((n + 1.0) * n)),
         SeriesValue(up, n, bound / n),

@@ -52,6 +52,7 @@ DEFAULT_EPS = 1e-13
 
 _EPS_ULP = sys.float_info.epsilon
 _TINY = math.ulp(0.0)  # the smallest positive double
+_MIN_NORMAL = sys.float_info.min
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -218,7 +219,7 @@ def coefficient(params: BesselParams, k: int) -> float:
 
 
 def _kahan_sum(terms):
-    """Compensated (Kahan) sum of real terms, in order.
+    """Compensated (Kahan) sum of real or complex terms, in order.
 
     eval_u_derivatives writes the same steps inline for its three lanes,
     which one pass keeps faster than three calls.
@@ -253,7 +254,9 @@ def eval_u_derivatives(
     majorant ratio also dominates the term ratios of u and u', and with
     eps |z|: it bounds sum_(k>K) k (k-1) |t_k|, which is |z| times the u''
     tail, so every lane's tail is below eps.  u'(0) = 1 and
-    u''(0) = 2 (-c) / q exactly.
+    u''(0) = 2 (-c) / q exactly.  Where |c z| is below the smallest normal
+    double, t_2 = -c z / q has lost bits to underflow, so the u'' lane takes
+    its k = 2 term 2 t_2 / z as 2 (-c) / q.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
@@ -294,6 +297,10 @@ def eval_u_derivatives(
         s = upp + y
         c2 = (s - upp) - y
         upp = s
+    if c != 0.0 and abs(c * z) < _MIN_NORMAL:
+        upp = _kahan_sum(
+            [(2.0 * (-c) / q) * one] + [k * (k - 1.0) * t[k - 1] / z for k in range(3, n + 1)]
+        )
     return (
         SeriesValue(u, n, bound * az / ((n + 1.0) * n)),
         SeriesValue(up, n, bound / n),

@@ -5,6 +5,11 @@ Every command assembles an OutputRecord
     {"schema_version", "command", "inputs", "result"}
 
 and serializes it deterministically (sorted keys, two-space indent, LF).
+to_json writes that text itself, byte for byte what json.dumps(record,
+sort_keys=True, indent=2) writes, because indent sends json.dumps to its
+pure-Python encoder: the strings go through json's C encoder and the floats
+through float.__repr__, and the layout is written here, a table of flat
+float rows (the figure command's) from one template per row.
 eval, check and threshold always emit JSON; figure emits JSON or CSV on
 request; scan always emits CSV with the fixed column set
 p,alpha,beta,theorem,lemma,disk_max.  CSV cells use 17 significant digits,
@@ -21,15 +26,21 @@ quantities; they serialize as JavaScript-style Infinity literals, which the
 stdlib json module reads back.
 
 scan evaluates the disk layer once per order p: the rows of one p differ only
-in alpha and beta.
+in alpha and beta.  main builds the argparse parser once per process, on its
+first call (not at import), and reuses it: parsing never changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from importlib import resources
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 import numpy as np
 
@@ -124,8 +135,101 @@ def _record(command: str, inputs: dict, result: dict) -> dict:
     }
 
 
+_INDENT = "  "
+
+
+def to_json(obj) -> str:
+    """obj as JSON text, byte for byte json.dumps(obj, sort_keys=True, indent=2).
+
+    Takes dicts with str keys, lists, tuples, str, bool, None, int and float;
+    non-finite floats are written Infinity, -Infinity and NaN, as json
+    writes them.  Any other type, or a key that is not a str, raises
+    TypeError.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append the text of obj to out; nl starts the line of its closing bracket."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + _INDENT
+        rows = _float_rows(obj, inner)
+        if rows is not None:
+            out.append("[" + inner + rows + nl + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + _INDENT
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quote(key) + ": ")  # a key that is not a str raises TypeError
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_rows(rows: list | tuple, nl: str) -> str | None:
+    """The items of rows, joined, if all are dicts with the same keys and finite float values.
+
+    Such a list (the figure table) is written from one %-template per row;
+    any other list gives None and takes the general path of _write.
+    """
+    first = rows[0]
+    if set(map(type, rows)) != {dict} or not first or set(map(len, rows)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    try:
+        values = list(map(itemgetter(*keys), rows))
+    except KeyError:
+        return None
+    flat = values if len(keys) == 1 else list(chain.from_iterable(values))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    inner = nl + _INDENT
+    fields = ("," + inner).join(_quote(k).replace("%", "%%") + ": %r" for k in keys)
+    template = "{" + inner + fields + nl + "}"
+    return ("," + nl).join([template % v for v in values])
+
+
 def _emit_json(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(to_json(record) + "\n")
 
 
 def _g17(x: float) -> str:
@@ -439,9 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:

@@ -1,6 +1,7 @@
 """Series evaluator: coefficients, tail honesty, special-function identities."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,15 @@ def test_subnormal_z():
     u, up, upp = eval_u_derivatives(BesselParams(1.0, 1.0, -1.0), 1e-320)
     assert (u.value, up.value, upp.value) == (1e-320, 1.0, 1.0)
     assert u.tail_bound == up.tail_bound == upp.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("z", [5e-324j, 1e-310j, 1e-310])
+def test_u_second_where_c_z_is_subnormal(z):
+    # t_2 = -c z / q loses bits to underflow (to 0 at 5e-324j) before the
+    # u'' lane divides it by z; u''(z) = 1 + z / 2 + ... rounds to 1 here
+    upp = eval_u_derivatives(BesselParams(1.0, 1.0, -1.0), z)[2]
+    assert type(upp.value) is type(z)
+    assert abs(upp.value - 1.0) <= upp.tail_bound + 2.0 * sys.float_info.epsilon
 
 
 def test_u_oracle_first_kind():

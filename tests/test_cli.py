@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselgeom import SumReport, SumStatus, cli, disk
 from besselgeom.cli import (
@@ -18,7 +21,9 @@ from besselgeom.cli import (
     main,
     scan_record,
     threshold_record,
+    to_json,
 )
+from besselgeom.conditions import consistency_audit
 
 SCHEMA = load_output_schema()
 
@@ -165,7 +170,7 @@ def test_check_inconsistency_exits_3(capsys, monkeypatch):
     assert not record["result"]["consistent"]
 
 
-# SHA-256 of the check --mode theorem and --mode lemma JSON, concatenated over
+# SHA-256 of the check JSON of each --mode, concatenated over
 # CHECK_PARAMS x CHECK_CLASSES x both classes in that order.  The points cover
 # q from 0.01 to 10.75, both signs of c, and the small-q point where forming
 # q + k - 1 as (q + k) - 1 loses bits.  A deliberate change to this output
@@ -187,6 +192,8 @@ CHECK_CLASSES = [(0.0, 1.0), (0.5, 0.5), (0.9, 0.05)]
 PINNED_CHECKS = {
     "theorem": "680f740c68d7555ae3d056612d47b270d2cc3c5a903d928eedfd1de27c66b3fe",
     "lemma": "1d391e77203804f5fbec4bb2556ddaad550fd13ef185d71b7b65f67f320b5fd5",
+    "disk": "abe85877fc7dec7d663fb9569cfbd4a104de6ea6f30d408ad3299478e0e38b6f",
+    "all": "11d77214b9200a38e874474f31ef5fdf1a852199ad8adaedaf3ca18c34e1d195",
 }
 
 
@@ -201,6 +208,31 @@ def test_check_json_bytes_pinned(capsys, mode):
                              "--class", klass, "--mode", mode]) == 0
                 digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == PINNED_CHECKS[mode]
+
+
+# SHA-256 of single JSON records: eval at a real, a complex and a zero z and
+# with --w, and a check whose theorem value saturates to -Infinity.  With the
+# check, threshold, figure and scan pins this covers every subcommand.
+PINNED_RECORDS = {
+    "eval-real": (["eval", "--p", "0", "--b", "1", "--c", "1", "--z", "1"],
+                  "6323eeab23dd5b6e92ac41a223ef34de6f7b90879191f5bd8ac1f8648466133a"),
+    "eval-complex": (["eval", "--p", "0.5", "--b", "2", "--c", "-1", "--z", "0.25,0.1"],
+                     "df865b38a759a1b8f31ba82d559ccbce3abd389bed3197634a2804dd1133e506"),
+    "eval-w": (["eval", "--p", "1.5", "--b", "1", "--c", "-1", "--z", "2", "--w"],
+               "2e4cbbf95ce2e39ddb5b68ae43b2e7331701093f56768d54424a363798d62b7f"),
+    "eval-zero": (["eval", "--p", "1", "--b", "1", "--c", "-1", "--z", "0"],
+                  "bf46d5a47acd07df36a860985f536446795f4660e0c77e4d5c0aa15d9bf49e9e"),
+    "check-saturated": (["check", "--p", "0", "--b", "1", "--c=-2000", "--alpha", "0",
+                         "--beta", "1", "--class", "star", "--mode", "theorem"],
+                        "e1a382721d9c73c81e625ae532e9d9176feb58ec456bed1f40e0684ed879ac23"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
+def test_json_record_bytes_pinned(capsys, name):
+    argv, want = PINNED_RECORDS[name]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 # ---------------------------------------------------------------------------
@@ -481,3 +513,144 @@ def test_all_builders_validate():
     ]
     for rec in records:
         jsonschema.validate(rec, SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# JSON writer: json.dumps(sort_keys=True, indent=2) is the oracle
+
+
+def oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "a\"b\\c", "\x00\x1f\x7f\n\t", "caf\xe9 \u2203 \U0001d400", "%r %%"])
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e16, 1e-5, 1e22, 123456789.0,
+     math.inf, -math.inf, math.nan])
+LEAVES = st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200) | FLOATS | TEXT
+
+
+@st.composite
+def float_tables(draw):
+    """A list of flat float-row dicts, perhaps spoiled: (rows, spoiled)."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [{k: draw(finite) for k in keys} for _ in range(draw(st.integers(2, 5)))]
+    how = draw(st.sampled_from(["none", "int", "inf", "nan", "missing", "extra", "list"]))
+    row, key = draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
+    if how == "int":
+        row[key] = 3
+    elif how in ("inf", "nan"):
+        row[key] = float(how)
+    elif how == "missing":
+        del row[key]
+    elif how == "extra":
+        row["+".join(keys) + "+"] = 1.5  # longer than every key, so a new one
+    elif how == "list":
+        row[key] = [1.0]
+    return rows, how != "none"
+
+
+TABLES = float_tables().map(lambda drawn: drawn[0])
+RECORDS = st.recursive(
+    LEAVES | TABLES,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECORDS)
+def test_to_json_equals_json_dumps(obj):
+    assert to_json(obj) == oracle(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_tables(), st.integers(0, 3))
+def test_to_json_float_rows(drawn, depth):
+    # the template path takes exactly the unspoiled tables, at any depth
+    rows, spoiled = drawn
+    assert (cli._float_rows(rows, "\n" + "  " * (depth + 1)) is None) == spoiled
+    obj = rows
+    for _ in range(depth):
+        obj = {"rows": obj}
+    assert to_json(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    object(), {1, 2}, b"bytes", 1j, [1.0, 1j], {"rows": [{"x": 1.0}, {"x": 1j}]},
+    {"x": {(1, 2): 3}}, {1: 2}, [{1: 1.0}, {1: 2.0}],
+])
+def test_to_json_rejects_unsupported(obj):
+    # json rejects all but the int key; to_json takes str keys only
+    with pytest.raises(TypeError):
+        to_json(obj)
+
+
+def test_audit_report_bytes():
+    # scripts/generate_audit_report.py writes to_json(consistency_audit()) + LF
+    committed = pathlib.Path(__file__).resolve().parents[1] / "reports" / "corollary_audit.json"
+    assert committed.read_text("utf-8") == to_json(consistency_audit()) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_parser_once(capsys, monkeypatch):
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert main(SCAN_ARGS) == 0
+        assert main(["threshold", "--figure", "2"]) == 0
+        assert main(["check", "--mode", "bogus"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+CHECK_ARGS = ["check", "--p", "2", "--b", "1", "--c", "-1", "--alpha", "0",
+              "--beta", "1", "--class", "convex"]
+INTERLEAVED = [
+    SCAN_ARGS,
+    [*CHECK_ARGS, "--mode", "disk"],
+    CHECK_ARGS,
+    ["figure", "--figure", "4", "--low", "-1.9", "--high", "5", "--step", "0.5"],
+]
+
+
+def test_reused_parser_matches_fresh(capsys):
+    shared = []
+    for argv in INTERLEAVED:
+        assert main(argv) == 0
+        shared.append(capsys.readouterr())
+    for argv, want in zip(INTERLEAVED, shared):
+        cli._parser.cache_clear()
+        assert main(argv) == 0
+        assert capsys.readouterr() == want
+    assert json.loads(shared[2].out)["inputs"]["mode"] == "all"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["check", "--mode", "bogus"], [*CHECK_ARGS, "--mode", "bogus"],
+    ["scan", *SCAN_ARGS[1:-1], "0"], ["figure", "--figure", "7"],
+])
+def test_usage_errors_with_reused_parser(capsys, argv):
+    assert main(SCAN_ARGS) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    shared = capsys.readouterr()
+    cli._parser.cache_clear()
+    assert main(argv) == 2
+    assert capsys.readouterr() == shared
+    assert shared.out == "" and shared.err.startswith("usage: besselgeom")

@@ -48,15 +48,12 @@ from .disk import (
     DiskGrid,
     QuotientKind,
     SupEstimate,
-    convex_quotient,
-    starlike_quotient,
     sup_estimate,
     sup_estimates,
 )
 from .errors import (
     BesselGeomError,
     BetaMismatchError,
-    DegenerateError,
     DomainError,
     NoBracketError,
     NoConvergenceError,
@@ -87,7 +84,6 @@ __all__ = [
     "CriterionId",
     "DEFAULT_GRID",
     "DISAGREEING_CRITERIA",
-    "DegenerateError",
     "DiskGrid",
     "DomainError",
     "FIGURES",
@@ -108,7 +104,6 @@ __all__ = [
     "coefficient",
     "consistency_audit",
     "convex_condition",
-    "convex_quotient",
     "convex_sum",
     "eval_u",
     "eval_u_derivatives",
@@ -120,7 +115,6 @@ __all__ = [
     "positivity_scan",
     "special_case_condition",
     "starlike_condition",
-    "starlike_quotient",
     "starlike_sum",
     "starlike_sum_closed_form",
     "sup_estimate",

@@ -52,6 +52,7 @@ from .errors import BesselGeomError, DomainError
 from .thresholds import (
     FIGURES,
     RootResult,
+    _spec,
     figure_eval,
     find_all_thresholds,
     positivity_scan,
@@ -287,6 +288,24 @@ def _steps_flag(text: str) -> tuple[int, int, int]:
 # record builders (pure: no printing, no exiting; tests call these directly)
 
 
+def _layers(klass: str) -> tuple:
+    """(condition, coefficient sum, QuotientKind) of a class, read from the globals per call."""
+    if klass == "star":
+        return starlike_condition, starlike_sum, QuotientKind.STARLIKE
+    return convex_condition, convex_sum, QuotientKind.CONVEX
+
+
+def _consistent(
+    thm: ConditionVerdict | None, rep: SumReport | None, est: SupEstimate | None
+) -> bool:
+    """The chain theorem => lemma => no sampled violation; a layer that did not run is None."""
+    if rep is None:  # both links pass through the lemma
+        return True
+    if thm is not None and thm.holds and rep.status is SumStatus.FAILS:
+        return False
+    return est is None or est.violations == 0 or rep.status is not SumStatus.HOLDS
+
+
 def eval_record(p: float, b: float, c: float, z: complex, eps: float, want_w: bool) -> dict:
     params = BesselParams(p, b, c)
     u, up, us = eval_u_derivatives(params, z, eps=eps)
@@ -312,30 +331,22 @@ def check_record(
     params = BesselParams(p, b, c)
     cls = ClassSpec(alpha, beta)
     var = Variant(variant)
-    star = klass == "star"
+    cond, lem, kind = _layers(klass)
+    thm = rep = est = None
     result: dict = {}
     if mode in ("theorem", "all"):
-        cond = starlike_condition if star else convex_condition
-        result["theorem"] = _condition(cond(params, cls, var))
+        thm = cond(params, cls, var)
+        result["theorem"] = _condition(thm)
     if mode in ("lemma", "all"):
-        lem = starlike_sum if star else convex_sum
-        result["lemma"] = _sum_report(lem(params, cls))
+        rep = lem(params, cls)
+        result["lemma"] = _sum_report(rep)
     if mode in ("disk", "all"):
-        kind = QuotientKind.STARLIKE if star else QuotientKind.CONVEX
-        result["disk"] = _sup(sup_estimate(params, cls, kind, DEFAULT_GRID))
-
-    # Implication chain: theorem => lemma => no sampled violations.  The
-    # printed variant only asserts the first implication for c <= 0, where
-    # it coincides with the derived one.
-    consistent = True
-    theorem_binding = var is Variant.DERIVED or c <= 0.0
-    if "theorem" in result and "lemma" in result and theorem_binding:
-        if result["theorem"]["holds"] and result["lemma"]["status"] == SumStatus.FAILS.value:
-            consistent = False
-    if "lemma" in result and "disk" in result:
-        if result["lemma"]["status"] == SumStatus.HOLDS.value and result["disk"]["violations"] > 0:
-            consistent = False
-    result["consistent"] = consistent
+        est = sup_estimate(params, cls, kind, DEFAULT_GRID)
+        result["disk"] = _sup(est)
+    # The printed variant binds the theorem only for c <= 0, where it
+    # coincides with the derived one.
+    binding = var is Variant.DERIVED or c <= 0.0
+    result["consistent"] = _consistent(thm if binding else None, rep, est)
     inputs = {
         "p": p, "b": b, "c": c, "alpha": alpha, "beta": beta,
         "class": klass, "mode": mode, "variant": variant,
@@ -344,9 +355,7 @@ def check_record(
 
 
 def threshold_record(figure: int, tol: float) -> dict:
-    spec = FIGURES.get(figure)
-    if spec is None:
-        raise DomainError(f"figure id must be in 1..6, got {figure!r}")
+    spec = _spec(figure)
     roots = find_all_thresholds(figure, tol)
     low = spec.singularity + POSITIVITY_MARGIN
     brackets = positivity_scan(figure, low, POSITIVITY_HIGH, POSITIVITY_STEP)
@@ -369,9 +378,7 @@ def threshold_record(figure: int, tol: float) -> dict:
 
 
 def figure_record(figure: int, low: float, high: float, step: float) -> dict:
-    spec = FIGURES.get(figure)
-    if spec is None:
-        raise DomainError(f"figure id must be in 1..6, got {figure!r}")
+    spec = _spec(figure)
     xs = sample_grid(low, high, step)
     # drop the singular sample instead of aborting the grid
     xs = xs[~(np.abs(xs - spec.singularity) < SINGULAR_SKIP)]
@@ -392,10 +399,7 @@ def scan_record(
     klass: str,
     steps: tuple[int, int, int],
 ) -> dict:
-    star = klass == "star"
-    cond = starlike_condition if star else convex_condition
-    lem = starlike_sum if star else convex_sum
-    kind = QuotientKind.STARLIKE if star else QuotientKind.CONVEX
+    cond, lem, kind = _layers(klass)
 
     ps = np.linspace(p_range[0], p_range[1], steps[0]).tolist()
     alphas = np.linspace(alpha_range[0], alpha_range[1], steps[1]).tolist()
@@ -410,10 +414,7 @@ def scan_record(
         verdicts = [(cond(params, cls), lem(params, cls)) for cls in classes]
         ests = sup_estimates(params, classes, kind, DEFAULT_GRID)
         for (a, bt), (thm, rep), est in zip(pairs, verdicts, ests):
-            if (thm.holds and rep.status is SumStatus.FAILS) or (
-                rep.status is SumStatus.HOLDS and est.violations > 0
-            ):
-                consistent = False
+            consistent &= _consistent(thm, rep, est)
             rows.append({
                 "p": p, "alpha": a, "beta": bt,
                 "theorem": "holds" if thm.holds else "fails",

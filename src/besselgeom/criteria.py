@@ -12,7 +12,9 @@ S*(alpha, beta), and at the coefficient level the convex weight is the
 starlike weight applied to the coefficients k a_k.
 
 For the normalized Bessel-type series, |a_k| = |c|^(k-1) / ((q)_(k-1) (k-1)!)
-decays factorially.  Both sums use the series evaluator's coefficient kernel
+decays factorially.  The sums weigh |a_k| for either sign of c; the
+printed variant of the paper's displays lives in the closed-form conditions
+alone.  Both sums use the series evaluator's coefficient kernel
 (bessel._coefficients) and its rigorous geometric-majorant truncation, with
 the class weight in place of the derivative weights.  Reports carry a
 tri-state status: a verdict is only HOLDS or FAILS when the tail bound
@@ -96,27 +98,24 @@ def _weighted_sum(
     cls: ClassSpec,
     convex: bool,
     eps: float,
-    as_printed: bool,
 ) -> SumReport:
     """Sum_{k>=2} weight(k) m_k with m_k = |c|^(k-1) / ((q)_(k-1) (k-1)!).
 
-    as_printed replaces |c|^(k-1) by (-c)^(k-1), reproducing the signed form
-    some displays use; the two coincide for c < 0.  The m_k and the tail
-    bound come from the series kernel, at radius 1 and with the class
-    weight, whose ratios weight(k+1)/weight(k) decrease toward 1.
+    The m_k and the tail bound come from the series kernel, at radius 1 and
+    with the class weight, whose ratios weight(k+1)/weight(k) decrease
+    toward 1.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     if not params.q > 0.0:
         raise DomainError(f"criteria require q > 0, got q = {params.q!r}")
     alpha, beta = cls.alpha, cls.beta
-    signed = -params.c if as_printed else abs(params.c)
 
     def weight(k: int) -> float:
         w = (k - 1.0) + beta * (k + 1.0 - 2.0 * alpha)
         return w * k if convex else w
 
-    m, _, tail = _coefficients(params.q, signed, eps, 1.0, weight)
+    m, _, tail = _coefficients(params.q, abs(params.c), eps, 1.0, weight)
     # m_2 .. m_K; m_(K+1) is the first discarded
     total = _kahan_sum([weight(k) * m[k - 1] for k in range(2, len(m))])
     return _report(total, tail, cls)
@@ -126,20 +125,18 @@ def starlike_sum(
     params: BesselParams,
     cls: ClassSpec,
     eps: float = DEFAULT_EPS,
-    as_printed: bool = False,
 ) -> SumReport:
     """Starlike coefficient criterion: holds implies u is in S*(alpha, beta)."""
-    return _weighted_sum(params, cls, False, eps, as_printed)
+    return _weighted_sum(params, cls, False, eps)
 
 
 def convex_sum(
     params: BesselParams,
     cls: ClassSpec,
     eps: float = DEFAULT_EPS,
-    as_printed: bool = False,
 ) -> SumReport:
     """Convex coefficient criterion: holds implies u is in K(alpha, beta)."""
-    return _weighted_sum(params, cls, True, eps, as_printed)
+    return _weighted_sum(params, cls, True, eps)
 
 
 def starlike_sum_closed_form(params: BesselParams, cls: ClassSpec) -> float:

@@ -13,7 +13,8 @@ quotients on concentric rings and reports the empirical maximum, the count
 of sample points at or above beta, and the count of points skipped because
 a denominator fell below the numerical guard.  At z = 0 both quotients have
 removable limit 0 (w -> 1 and v -> 0 by normalization), so the origin is
-excluded from every grid.
+excluded from every grid.  sup_estimates is the only evaluator of the
+quotients; sup_estimate is its one-class form.
 
 The series behind both quotients are evaluated by Horner's rule from one
 coefficient array a_1..a_(K+1), built by the series kernel of the bessel
@@ -50,9 +51,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bessel import BesselParams, _coefficients, _u2_weight, eval_u_derivatives
+from .bessel import BesselParams, _coefficients, _u2_weight
 from .criteria import ClassSpec
-from .errors import DegenerateError, DomainError
+from .errors import DomainError
 
 GUARD = 1e-14
 
@@ -133,39 +134,6 @@ class SupEstimate:
     argmax_z: complex
     violations: int
     degenerate_points: int
-
-
-def _check_z(z: complex) -> complex:
-    z = complex(z)
-    if not 0.0 < abs(z) < 1.0:
-        raise DomainError(f"z must satisfy 0 < |z| < 1, got |z| = {abs(z)!r}")
-    return z
-
-
-def starlike_quotient(params: BesselParams, z: complex, alpha: float) -> float:
-    """|(w - 1) / (w + 1 - 2 alpha)| with w = z u'(z) / u(z), for 0 < |z| < 1."""
-    z = _check_z(z)
-    u, up, _ = eval_u_derivatives(params, z)
-    if abs(u.value) <= GUARD:
-        raise DegenerateError(f"|u(z)| = {abs(u.value)!r} is below the guard at z = {z!r}")
-    w = z * up.value / u.value
-    den = w + (1.0 - 2.0 * alpha)
-    if abs(den) <= GUARD:
-        raise DegenerateError(f"|w + 1 - 2 alpha| = {abs(den)!r} is below the guard")
-    return abs((w - 1.0) / den)
-
-
-def convex_quotient(params: BesselParams, z: complex, alpha: float) -> float:
-    """|v / (v + 2 (1 - alpha))| with v = z u''(z) / u'(z), for 0 < |z| < 1."""
-    z = _check_z(z)
-    _, up, upp = eval_u_derivatives(params, z)
-    if abs(up.value) <= GUARD:
-        raise DegenerateError(f"|u'(z)| = {abs(up.value)!r} is below the guard at z = {z!r}")
-    v = z * upp.value / up.value
-    den = v + 2.0 * (1.0 - alpha)
-    if abs(den) <= GUARD:
-        raise DegenerateError(f"|v + 2(1 - alpha)| = {abs(den)!r} is below the guard")
-    return abs(v / den)
 
 
 def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:

@@ -25,9 +25,5 @@ class NoBracketError(BesselGeomError):
     """No sign-changing bracket exists in the searched windows."""
 
 
-class DegenerateError(BesselGeomError):
-    """A quotient denominator fell below the numerical guard threshold."""
-
-
 class BetaMismatchError(BesselGeomError):
     """A criterion defined only for beta = 1 was requested with a different beta."""

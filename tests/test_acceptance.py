@@ -4,7 +4,6 @@ Each test is the repository-level pass/fail line for one acceptance
 criterion; unit-level detail lives in the per-module test files.
 """
 
-import cmath
 import json
 import math
 import pathlib
@@ -17,14 +16,13 @@ from besselgeom import (
     BesselKind,
     BesselParams,
     ClassSpec,
-    DegenerateError,
+    DiskGrid,
     NoBracketError,
     QuotientKind,
     SingularityError,
     SumStatus,
     consistency_audit,
     convex_condition,
-    convex_quotient,
     convex_sum,
     eval_u,
     figure_eval,
@@ -36,6 +34,7 @@ from besselgeom import (
     starlike_sum_closed_form,
     sup_estimate,
 )
+from besselgeom.disk import GUARD
 from conftest import draw_chain_inputs, ref_coeff, ref_u_derivs
 from test_bessel import ode_residual
 
@@ -103,23 +102,24 @@ def test_04_duality():
         )
         assert abs(got - want) < 1e-12, (params, cls)
 
-    # quotient level: convex_quotient(u, z) = starlike_quotient(z u', z),
-    # the right side evaluated through an independent series for z u'
-    checked = 0
-    while checked < 500:
-        params, alpha, _ = draw_chain_inputs(rng)
-        z = rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        _, up, upp = ref_u_derivs(params.p, params.b, params.c, z)
-        try:
-            got = convex_quotient(params, z, alpha)
-        except DegenerateError:
-            continue
-        if abs(up) < 1e-12:
-            continue
-        w_g = 1.0 + z * upp / up  # z g'/g for g = z u'
-        want = abs((w_g - 1.0) / (w_g + 1.0 - 2.0 * alpha))
-        assert abs(got - want) < 1e-10, (params, alpha, z)
-        checked += 1
+    # quotient level: the convex quotient of u is the starlike quotient of
+    # g = z u'.  The disk evaluator's convex maximum on a small grid must
+    # equal the maximum of the starlike quotient of g, evaluated through an
+    # independent series for z u', over the points neither side guards.
+    for _ in range(40):
+        params, alpha, beta = draw_chain_inputs(rng)
+        grid = DiskGrid(radii=(rng.uniform(0.05, 0.5), rng.uniform(0.5, 0.95)),
+                        angles_per_ring=12)
+        got = sup_estimate(params, ClassSpec(alpha, beta), QuotientKind.CONVEX, grid)
+        want = 0.0
+        for z in grid.points().tolist():
+            _, up, upp = ref_u_derivs(params.p, params.b, params.c, z)
+            if abs(up) <= GUARD:
+                continue
+            w_g = 1.0 + z * upp / up  # z g'/g for g = z u'
+            if abs(w_g + 1.0 - 2.0 * alpha) > GUARD:
+                want = max(want, abs((w_g - 1.0) / (w_g + 1.0 - 2.0 * alpha)))
+        assert abs(got.max_quotient - want) < 1e-10, (params, alpha)
 
 
 def test_05_corollary_consistency_audit():

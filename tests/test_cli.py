@@ -156,6 +156,22 @@ def test_check_variant_printed(capsys):
     assert rec["result"]["theorem"]["variant"] == "printed"
 
 
+def test_check_printed_variant_exempt_for_positive_c(capsys):
+    # the README's example: for c > 0 the printed theorem holds while the
+    # lemma fails, and only the derived theorem binds the chain
+    argv = ["check", "--p", "1", "--b", "1", "--c", "1", "--alpha", "0",
+            "--beta", "1", "--class", "star"]
+    code, rec = run_json(capsys, argv + ["--variant", "printed"])
+    assert code == 0
+    res = rec["result"]
+    assert res["theorem"]["holds"] and res["lemma"]["status"] == "fails"
+    assert res["disk"]["violations"] == 0
+    assert res["consistent"]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    assert not rec["result"]["theorem"]["holds"]
+
+
 def test_check_inconsistency_exits_3(capsys, monkeypatch):
     # force the lemma layer to contradict a passing theorem
     fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, holds=False,
@@ -461,6 +477,22 @@ def test_scan_lemma_upset_in_p(capsys):
     col = [ln.split(",")[4] for ln in capsys.readouterr().out.splitlines()[1:]]
     first_hold = col.index("holds")
     assert all(v == "holds" for v in col[first_hold:])
+
+
+def test_scan_inconsistency_exits_3(capsys, monkeypatch):
+    # the same forced contradiction as for check: exit 3, CSV still printed
+    fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, holds=False,
+                     margin=-97.0, status=SumStatus.FAILS)
+    monkeypatch.setattr(cli, "starlike_sum", lambda *a, **k: fake)
+    code = main(["scan", "--b", "1", "--c", "-0.1", "--p-range", "10,10",
+                 "--alpha-range", "0,0", "--beta-range", "1,1",
+                 "--class", "star", "--steps", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: implication chain violated on the grid\n"
+    lines = captured.out.splitlines()
+    assert lines[0] == "p,alpha,beta,theorem,lemma,disk_max"
+    assert lines[1].split(",")[3:5] == ["holds", "fails"]
 
 
 def test_scan_bad_flags(capsys):

@@ -119,28 +119,6 @@ def test_small_q_sum_against_mpmath():
     assert err <= 2.0
 
 
-def test_as_printed_matches_for_negative_c():
-    params = BesselParams(1.3, 1.0, -0.8)
-    cls = ClassSpec(0.1, 0.9)
-    assert starlike_sum(params, cls).sum == starlike_sum(params, cls, as_printed=True).sum
-
-
-def test_as_printed_alternates_for_positive_c():
-    params = BesselParams(0.5, 1.0, 2.0)
-    cls = ClassSpec(0.0, 1.0)
-    plain = starlike_sum(params, cls)
-    printed = starlike_sum(params, cls, as_printed=True)
-    assert abs(printed.sum) < plain.sum  # alternating signs cancel
-    # ref_coeff already carries the signed (-c)^(k-1) factor of the printed form
-    want = math.fsum(
-        ((k - 1.0) + (k + 1.0)) * ref_coeff(0.5, 1.0, 2.0, k)
-        for k in range(2, 60)
-    )
-    assert abs(printed.sum - want) <= printed.tail_bound
-    tight = starlike_sum(params, cls, eps=1e-15, as_printed=True)
-    assert tight.sum == pytest.approx(want, abs=1e-13)
-
-
 def test_convex_duality_spot(rng):
     # convex weight on a_k == starlike weight on the coefficients k a_k
     for _ in range(50):

@@ -1,8 +1,5 @@
 """Unit-disk sampling: quotients, guards, vectorized sup estimates."""
 
-import cmath
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +7,6 @@ from besselgeom import (
     DEFAULT_GRID,
     BesselParams,
     ClassSpec,
-    DegenerateError,
     DiskGrid,
     DomainError,
     NoConvergenceError,
@@ -18,9 +14,7 @@ from besselgeom import (
     SupEstimate,
     bessel,
     coefficient,
-    convex_quotient,
     eval_u_derivatives,
-    starlike_quotient,
     starlike_sum,
     sup_estimate,
     disk,
@@ -73,60 +67,6 @@ def full_grid_sup_estimates(params, classes, which, grid=DEFAULT_GRID):
     return out
 
 
-def test_quotient_domain():
-    with pytest.raises(DomainError):
-        starlike_quotient(BesselParams(1.0, 1.0, -1.0), 0.0, 0.0)
-    with pytest.raises(DomainError):
-        starlike_quotient(BesselParams(1.0, 1.0, -1.0), 1.0, 0.0)
-    with pytest.raises(DomainError):
-        convex_quotient(BesselParams(1.0, 1.0, -1.0), complex(0.8, 0.6), 0.0)
-
-
-def test_quotient_small_z_limits():
-    # w -> 1 and v -> 0 as z -> 0, so both quotients vanish at the origin.
-    params = BesselParams(1.0, 1.0, -1.0)
-    assert starlike_quotient(params, 1e-3, 0.0) < 1e-3
-    assert convex_quotient(params, 1e-3, 0.0) < 1e-2
-
-
-def test_quotient_against_reference():
-    params = BesselParams(1.3, 1.0, -0.7)
-    alpha = 0.2
-    for z in (complex(0.3, 0.4), complex(-0.55, 0.1), complex(0.0, 0.9)):
-        u, up, upp = ref_u_derivs(1.3, 1.0, -0.7, z)
-        w = z * up / u
-        want = abs((w - 1.0) / (w + 1.0 - 2.0 * alpha))
-        assert starlike_quotient(params, z, alpha) == pytest.approx(want, rel=1e-12)
-        v = z * upp / up
-        want = abs(v / (v + 2.0 * (1.0 - alpha)))
-        assert convex_quotient(params, z, alpha) == pytest.approx(want, rel=1e-12)
-
-
-def test_degenerate_guard_scalar():
-    with pytest.raises(DegenerateError):
-        starlike_quotient(BAD, complex(U_ZERO, 0.0), 0.0)
-
-
-def test_duality_quotient_identity(rng):
-    # convex quotient of u == starlike quotient of g(z) = z u'(z), evaluated
-    # through the independent series for g: w_g = 1 + z u''/u'.
-    checked = 0
-    while checked < 60:
-        params, alpha, _ = draw_chain_inputs(rng)
-        r = rng.uniform(0.05, 0.95)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        z = r * cmath.exp(1j * theta)
-        _, up, upp = ref_u_derivs(params.p, params.b, params.c, z)
-        try:
-            got = convex_quotient(params, z, alpha)
-        except DegenerateError:
-            continue
-        w_g = 1.0 + z * upp / up
-        want = abs((w_g - 1.0) / (w_g + 1.0 - 2.0 * alpha))
-        assert abs(got - want) < 1e-10
-        checked += 1
-
-
 def test_grid_validation():
     with pytest.raises(DomainError):
         DiskGrid(radii=())
@@ -164,22 +104,30 @@ def test_degenerate_counted_not_fatal():
     assert est.max_quotient == pytest.approx(0.2077952770540287, rel=1e-10)
 
 
+def ref_quotient(params, z, alpha, kind):
+    """The quotient of kind at z from the independent series; None where a guard trips."""
+    u, up, upp = ref_u_derivs(params.p, params.b, params.c, z)
+    first, second = (u, up) if kind is QuotientKind.STARLIKE else (up, upp)
+    if abs(first) <= disk.GUARD:
+        return None
+    w = z * second / first  # z u'/u or z u''/u'
+    if kind is QuotientKind.STARLIKE:
+        num, den = w - 1.0, w + 1.0 - 2.0 * alpha
+    else:
+        num, den = w, w + 2.0 * (1.0 - alpha)
+    return abs(num / den) if abs(den) > disk.GUARD else None
+
+
 def test_vectorized_matches_scalar(rng):
+    # the grid evaluator against the reference series, point by point
     grid = DiskGrid(radii=(0.2, 0.6, 0.9), angles_per_ring=16)
     for _ in range(10):
         params, alpha, beta = draw_chain_inputs(rng)
         cls = ClassSpec(alpha, beta)
-        for kind, quot in (
-            (QuotientKind.STARLIKE, starlike_quotient),
-            (QuotientKind.CONVEX, convex_quotient),
-        ):
+        for kind in QuotientKind:
             est = sup_estimate(params, cls, kind, grid)
-            best = 0.0
-            for z in grid.points():
-                try:
-                    best = max(best, quot(params, complex(z), cls.alpha))
-                except DegenerateError:
-                    continue
+            quots = [ref_quotient(params, complex(z), cls.alpha, kind) for z in grid.points()]
+            best = max((x for x in quots if x is not None), default=0.0)
             assert est.max_quotient == pytest.approx(best, rel=1e-10)
 
 

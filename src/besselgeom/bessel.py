@@ -258,11 +258,11 @@ def eval_u_derivatives(
     double, t_2 = -c z / q has lost bits to underflow, so the u'' lane takes
     its k = 2 term 2 t_2 / z as 2 (-c) / q.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     az = abs(z)
-    if az > MAX_ABS_Z:
-        raise DomainError(f"|z| = {az!r} exceeds the working region |z| <= {MAX_ABS_Z}")
+    if not az <= MAX_ABS_Z:
+        raise DomainError(f"|z| = {az!r} lies outside the working region |z| <= {MAX_ABS_Z}")
 
     q, c = params.q, params.c
     is_complex = isinstance(z, complex)

@@ -61,6 +61,9 @@ from .thresholds import (
 
 SCHEMA_VERSION = "1.0"
 
+# The layers `check --mode` runs: one of them, or all three.
+CHECK_MODES = ("lemma", "theorem", "disk", "all")
+
 # Positivity-scan window reported by the threshold command: from just right
 # of the essential singularity out to 50, at resolution 0.005.
 POSITIVITY_MARGIN = 1e-3
@@ -292,7 +295,9 @@ def _layers(klass: str) -> tuple:
     """(condition, coefficient sum, QuotientKind) of a class, read from the globals per call."""
     if klass == "star":
         return starlike_condition, starlike_sum, QuotientKind.STARLIKE
-    return convex_condition, convex_sum, QuotientKind.CONVEX
+    if klass == "convex":
+        return convex_condition, convex_sum, QuotientKind.CONVEX
+    raise DomainError(f"class must be star or convex, got {klass!r}")
 
 
 def _consistent(
@@ -328,6 +333,8 @@ def check_record(
     mode: str = "all",
     variant: str = Variant.DERIVED.value,
 ) -> dict:
+    if mode not in CHECK_MODES:
+        raise DomainError(f"mode must be one of {', '.join(CHECK_MODES)}, got {mode!r}")
     params = BesselParams(p, b, c)
     cls = ClassSpec(alpha, beta)
     var = Variant(variant)
@@ -513,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--alpha", type=float, required=True)
     pc.add_argument("--beta", type=float, required=True)
     pc.add_argument("--class", dest="klass", choices=("star", "convex"), required=True)
-    pc.add_argument("--mode", choices=("lemma", "theorem", "disk", "all"), default="all")
+    pc.add_argument("--mode", choices=CHECK_MODES, default="all")
     pc.add_argument("--variant", choices=("printed", "derived"), default="derived")
     pc.set_defaults(handler=_cmd_check)
 

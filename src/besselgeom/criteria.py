@@ -105,7 +105,7 @@ def _weighted_sum(
     with the class weight, whose ratios weight(k+1)/weight(k) decrease
     toward 1.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     if not params.q > 0.0:
         raise DomainError(f"criteria require q > 0, got q = {params.q!r}")

@@ -1,30 +1,33 @@
 """Direct verification of the class inequalities by unit-disk sampling.
 
-The defining inequalities are, for w = z u'(z) / u(z),
+Both classes are one inequality.  For f analytic with f(0) = 0, f'(0) = 1,
+let n = z f'(z) / f(z) - 1; f is in S*(alpha, beta) when
 
-    starlike:  | (w - 1) / (w + 1 - 2 alpha) |  <  beta,
+    | n / (n + 2 (1 - alpha)) |  <  beta
 
-and, for v = z u''(z) / u'(z),
+at every z in the open unit disk, and u is in K(alpha, beta) exactly when
+z u' is in S*(alpha, beta).  So the starlike check takes f = u and the
+convex check f = z u', whose coefficients are k a_k.  With f = sum_k b_k z^k,
 
-    convex:    | v / (v + 2 (1 - alpha)) |  <  beta,
+    n = sum_k (k - 1) b_k z^(k-1)  /  sum_k b_k z^(k-1),
 
-required at every z in the open unit disk.  This module samples the
-quotients on concentric rings and reports the empirical maximum, the count
-of sample points at or above beta, and the count of points skipped because
-a denominator fell below the numerical guard.  At z = 0 both quotients have
-removable limit 0 (w -> 1 and v -> 0 by normalization), so the origin is
-excluded from every grid.  sup_estimates is the only evaluator of the
-quotients; sup_estimate is its one-class form.
+a quotient of two series in which no z cancels and no 1 is subtracted: at
+the origin n has its removable limit 0.  This module samples the quotient
+on concentric rings and reports the empirical maximum, the count of sample
+points at or above beta, and the count of points skipped because a guard
+tripped: |f / z| (that is |u / z| or |u'|) or the denominator fell below
+GUARD.  sup_estimates is the only evaluator of the quotient; sup_estimate
+is its one-class form.
 
-The series behind both quotients are evaluated by Horner's rule from one
-coefficient array a_1..a_(K+1), built by the series kernel of the bessel
-module (the ratio recurrence and its stop rule) with the u'' weight
-k (k-1) at the largest sampled radius: the terms it drops from
-z u''(z) = sum_k k (k-1) a_k z^(k-1) sum to less than SERIES_EPS anywhere
-on the grid, and those it drops from u and z u' are smaller still.
+Both series are evaluated by Horner's rule from one coefficient array
+a_1..a_(K+1), built by the series kernel of the bessel module (the ratio
+recurrence and its stop rule) with the u'' weight k (k-1) at the largest
+sampled radius.  That weight is the largest lane weight of either class,
+so the terms dropped from any lane sum to less than SERIES_EPS anywhere on
+the grid.
 
 For every accepted (p, b, c) the coefficients a_k are real, so
-u(conj z) = conj u(z) and both quotients take equal values at z and at
+u(conj z) = conj u(z) and the quotient takes equal values at z and at
 conj z.  Each ring of the grid is therefore built conjugate-symmetric
 (angle index M - j is the mirror of index j), and only the indices
 j = 0 .. M // 2 are evaluated.  Every evaluated point carries an integer
@@ -153,33 +156,28 @@ def sup_estimates(
 ) -> list[SupEstimate]:
     """sup_estimate for several classes, sharing everything alpha does not touch.
 
-    The series lanes, the quotient base (w = z u'/u or v = z u''/u') and the
-    guard on its denominator depend on (params, which, grid) alone, so they
-    are evaluated once, on the half of each ring that conjugate symmetry
-    leaves distinct; each class then costs a few array passes.
+    The two series lanes, n = z f'/f - 1 and the guard on f/z depend on
+    (params, which, grid) alone, so they are evaluated once, on the half of
+    each ring that conjugate symmetry leaves distinct; each class then costs
+    a few array passes.
     """
     zs, weights, rmax = _half_rings(grid)
     a = np.asarray(_coefficients(params.q, -params.c, SERIES_EPS, rmax, _u2_weight)[0])
     ks = np.arange(1, len(a) + 1, dtype=float)
-    if which is QuotientKind.STARLIKE:
-        first, second = _horner(a, zs) * zs, _horner(ks * a, zs)  # u, u'
-        shifts = [1.0 - 2.0 * cls.alpha for cls in classes]
-    else:
-        first, second = _horner(ks * a, zs), _horner(ks * (ks - 1.0) * a, zs) / zs  # u', u''
-        shifts = [2.0 * (1.0 - cls.alpha) for cls in classes]
+    b = a if which is QuotientKind.STARLIKE else ks * a  # f = u or f = z u'
+    first = _horner(b, zs)  # f / z
     with np.errstate(all="ignore"):
-        w = zs * second / first
-        num = w - 1.0 if which is QuotientKind.STARLIKE else w
+        num = _horner((ks - 1.0) * b, zs) / first  # z f'/f - 1
         live = np.abs(first) > GUARD
     return [
-        _sup_for_class(zs, weights, w, num, live, shift, cls.beta)
-        for shift, cls in zip(shifts, classes)
+        _sup_for_class(zs, weights, num, live, 2.0 * (1.0 - cls.alpha), cls.beta)
+        for cls in classes
     ]
 
 
-def _sup_for_class(zs, weights, w, num, live, shift: float, beta: float) -> SupEstimate:
+def _sup_for_class(zs, weights, num, live, shift: float, beta: float) -> SupEstimate:
     with np.errstate(all="ignore"):
-        den = w + shift
+        den = num + shift
         quot = np.abs(num / den)
         valid = live & (np.abs(den) > GUARD)
     degenerate = int(weights @ ~valid)

@@ -225,8 +225,8 @@ def _bisect(func: Callable[[float], float], a: float, b: float, tol: float) -> R
 def find_all_thresholds(fig_id: int, tol: float = DEFAULT_TOL) -> list[RootResult]:
     """All sign-change roots in the windows singularity +/- [1e-6, 100], ascending."""
     spec = _spec(fig_id)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     s = spec.singularity
     brackets = _sign_changes(spec.func, s - WINDOW, s - SING_MARGIN, SCAN_STEP)
     brackets += _sign_changes(spec.func, s + SING_MARGIN, s + WINDOW, SCAN_STEP)

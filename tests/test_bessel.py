@@ -267,6 +267,9 @@ def test_eval_domain_errors():
         eval_u(params, 1.0, eps=0.0)
     with pytest.raises(DomainError):
         eval_u(params, 1.0, eps=-1e-3)
+    for z, eps in ((math.nan, 1e-15), (complex(0.5, math.nan), 1e-15), (0.5, math.nan)):
+        with pytest.raises(DomainError):
+            eval_u(params, z, eps=eps)
 
 
 def test_no_convergence_cap():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselgeom import SumReport, SumStatus, cli, disk
+from besselgeom import DomainError, SumReport, SumStatus, bessel, cli, disk, thresholds
 from besselgeom.cli import (
     check_record,
     eval_record,
@@ -80,6 +80,28 @@ def test_eval_domain_error_exit(capsys):
     assert main(["eval", "--p", "0", "--b", "1", "--c", "1", "--z", "4.5"]) == 2
 
 
+def _refuse_work(*args):
+    raise AssertionError("work started before the inputs were checked")
+
+
+def assert_refused_before_work(capsys, monkeypatch, argv):
+    """argv exits 2 with a one-line error before the series or a sign scan runs."""
+    monkeypatch.setattr(bessel, "_coefficients", _refuse_work)
+    monkeypatch.setattr(thresholds, "_sign_changes", _refuse_work)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--z", "nan"], ["--z", "0.5,nan"], ["--z", "0.5", "--eps", "nan"],
+])
+def test_eval_nan_control_exits_2(capsys, monkeypatch, argv):
+    eval_args = ["eval", "--p", "0", "--b", "1", "--c", "1"]
+    assert_refused_before_work(capsys, monkeypatch, [*eval_args, *argv])
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -106,6 +128,20 @@ def test_check_failing_point_is_consistent(capsys):
     assert res["lemma"]["status"] == "fails"
     assert res["disk"]["max_quotient"] > 0.0
     assert res["consistent"]  # failing both layers breaks no implication
+
+
+def test_check_record_rejects_unknown_class():
+    # anything but star or convex used to run the convex layers under its own label
+    with pytest.raises(DomainError, match="class"):
+        check_record(1.0, 1.0, -1.0, 0.0, 1.0, "starlike")
+    with pytest.raises(DomainError, match="class"):
+        scan_record(1.0, -1.0, (0.0, 1.0), (0.0, 0.0), (1.0, 1.0), "starlike", (2, 1, 1))
+
+
+def test_check_record_rejects_unknown_mode():
+    # an unknown mode used to run no layer and report consistent: true
+    with pytest.raises(DomainError, match="mode"):
+        check_record(1.0, 1.0, -1.0, 0.0, 1.0, "star", mode="nope")
 
 
 def test_check_disk_coefficient_cap_exits_2(capsys):
@@ -208,8 +244,8 @@ CHECK_CLASSES = [(0.0, 1.0), (0.5, 0.5), (0.9, 0.05)]
 PINNED_CHECKS = {
     "theorem": "680f740c68d7555ae3d056612d47b270d2cc3c5a903d928eedfd1de27c66b3fe",
     "lemma": "1d391e77203804f5fbec4bb2556ddaad550fd13ef185d71b7b65f67f320b5fd5",
-    "disk": "abe85877fc7dec7d663fb9569cfbd4a104de6ea6f30d408ad3299478e0e38b6f",
-    "all": "11d77214b9200a38e874474f31ef5fdf1a852199ad8adaedaf3ca18c34e1d195",
+    "disk": "b521ca35eebb789b7608384bfca3193adb9825b866815bc6d95b908850e89278",
+    "all": "6ef18f0ec6b0f2cca913454aa547cd8754697bbd0c22d918aa57d8747ea66fc9",
 }
 
 
@@ -286,6 +322,11 @@ def test_threshold_fig3(capsys):
 
 def test_threshold_bad_figure(capsys):
     assert main(["threshold", "--figure", "9"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_threshold_tol_must_be_positive_and_finite(capsys, monkeypatch, tol):
+    assert_refused_before_work(capsys, monkeypatch, ["threshold", "--figure", "1", f"--tol={tol}"])
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +480,17 @@ def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
 
 
 # SHA-256 of the whole scan CSV.  A deliberate change to scan output
-# re-pins these hashes, with a note in CHANGES.md saying why the bytes moved.
+# re-pins these hashes, with a note in CHANGES.md saying why the bytes moved;
+# the test ids name the class, so a re-pin keeps the test names.
 PINNED_SCANS = [
     (["--b", "1", "--c", "1", "--p-range=-0.9,20", "--class", "star"],
-     "199ac5f060d37dcac2e53b649b6403e04f4ede3845d686edd4afc51abe085a94"),
+     "e19ef77108ccda09cdd99f936e9a9d135faa9101026b97f2c703b81917d020a1"),
     (["--b", "0.5", "--c=-25", "--p-range=-0.5,30", "--class", "convex"],
-     "5237d1c84a3ddc8057fbdec939c2363c1d46e25d561daf13c5fab63e6158e83a"),
+     "e30e2380d04c42f4b5e97871c7e6954d59f926208d04e783d9f42b7ee26f7b2f"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", PINNED_SCANS)
+@pytest.mark.parametrize("args,digest", PINNED_SCANS, ids=["star", "convex"])
 def test_scan_csv_bytes_pinned(capsys, args, digest):
     code = main(["scan", *args, "--alpha-range", "0,0.5", "--beta-range", "1,1",
                  "--steps", "30,3,1"])

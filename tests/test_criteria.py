@@ -42,6 +42,13 @@ def test_q_requirement():
         convex_sum(BesselParams(-1.7, 1.0, -1.0), cls)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+def test_eps_must_be_positive(eps):
+    for crit in (starlike_sum, convex_sum):
+        with pytest.raises(DomainError):
+            crit(BesselParams(0.0, 1.0, -1.0), ClassSpec(0.0, 1.0), eps=eps)
+
+
 def test_starlike_example_holds():
     rep = starlike_sum(BesselParams(10.0, 1.0, -0.1), ClassSpec(0.0, 1.0))
     assert rep.status is SumStatus.HOLDS

@@ -30,6 +30,8 @@ BAD = BesselParams(-0.95, 1.0, -5.0)
 BAD_MAX = 2.6787924754830135
 BAD_VIOLATIONS = 163
 U_ZERO = -0.010247975388452294  # real zero of u for the BAD parameters
+J0_PARAMS = BesselParams(0.0, 1.0, 8.0)  # u(z) = z J_0(2 sqrt(8 z))
+J0_ZERO = 0.180724561342087  # positive real zero of u for J0_PARAMS
 
 
 def full_grid_sup_estimates(params, classes, which, grid=DEFAULT_GRID):
@@ -40,20 +42,14 @@ def full_grid_sup_estimates(params, classes, which, grid=DEFAULT_GRID):
         bessel._coefficients(params.q, -params.c, disk.SERIES_EPS, rmax, bessel._u2_weight)[0]
     )
     ks = np.arange(1, len(a) + 1, dtype=float)
-    if which is QuotientKind.STARLIKE:
-        first, second = disk._horner(a, zs) * zs, disk._horner(ks * a, zs)
-        shifts = [1.0 - 2.0 * cls.alpha for cls in classes]
-    else:
-        first = disk._horner(ks * a, zs)
-        second = disk._horner(ks * (ks - 1.0) * a, zs) / zs
-        shifts = [2.0 * (1.0 - cls.alpha) for cls in classes]
+    b = a if which is QuotientKind.STARLIKE else ks * a
+    first = disk._horner(b, zs)
     out = []
     with np.errstate(all="ignore"):
-        w = zs * second / first
-        num = w - 1.0 if which is QuotientKind.STARLIKE else w
+        num = disk._horner((ks - 1.0) * b, zs) / first
         live = np.abs(first) > disk.GUARD
-        for shift, cls in zip(shifts, classes):
-            den = w + shift
+        for cls in classes:
+            den = num + 2.0 * (1.0 - cls.alpha)
             quot = np.abs(num / den)
             valid = live & (np.abs(den) > disk.GUARD)
             degenerate = int(zs.size - np.count_nonzero(valid))
@@ -118,6 +114,38 @@ def ref_quotient(params, z, alpha, kind):
     return abs(num / den) if abs(den) > disk.GUARD else None
 
 
+def mp_quotient(params, z, alpha, kind):
+    """The quotient of kind at z from 40-digit 0F1 values: w - 1 or v, over its denominator."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        q, c, z = mpmath.mpf(params.q), mpmath.mpf(params.c), mpmath.mpc(z)
+        f0, f1, f2 = (mpmath.hyp0f1(q + j, -c * z) for j in range(3))
+        u = z * f0
+        up = f0 + z * (-c) / q * f1
+        upp = 2 * (-c) / q * f1 + z * c**2 / (q * (q + 1)) * f2
+        if kind is QuotientKind.STARLIKE:
+            w = z * up / u
+            num, den = w - 1, w + 1 - 2 * alpha
+        else:
+            num = z * upp / up
+            den = num + 2 * (1 - alpha)
+        return float(abs(num / den))
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-12])
+def test_max_quotient_near_origin(r):
+    # both quotients tend to 0 at the origin; forming z f'/f - 1 from one
+    # series keeps them to the last bits where z u'/u - 1 would cancel
+    params = BesselParams(1.3, 1.0, -0.7)
+    grid = DiskGrid(radii=(r,), angles_per_ring=16)
+    for kind in QuotientKind:
+        est = sup_estimate(params, CLS01, kind, grid)
+        want = max(mp_quotient(params, z, 0.0, kind) for z in grid.points().tolist())
+        assert est.degenerate_points == 0
+        assert abs(est.max_quotient - want) <= 1e-14 * want, kind
+
+
 def test_vectorized_matches_scalar(rng):
     # the grid evaluator against the reference series, point by point
     grid = DiskGrid(radii=(0.2, 0.6, 0.9), angles_per_ring=16)
@@ -180,10 +208,11 @@ def test_half_ring_evaluation_matches_full_grid(rng):
         DiskGrid(radii=(0.3, 0.7, 0.95), angles_per_ring=5),
         DiskGrid(radii=(0.2, 0.6, 0.9), angles_per_ring=16),
         DiskGrid(radii=(-U_ZERO,), angles_per_ring=2),  # one point trips the guard
-        DiskGrid(radii=(1e-15, 0.5), angles_per_ring=5),  # |u| < GUARD on a whole ring
-        DiskGrid(radii=(1e-15,), angles_per_ring=6),  # every starlike point degenerate
     )
     cases = [(BAD, grid) for grid in grids]
+    # a one-point ring at a zero of u: every starlike point is degenerate
+    zero_ring = DiskGrid(radii=(J0_ZERO,), angles_per_ring=1)
+    cases.append((J0_PARAMS, zero_ring))
     for _ in range(12):
         params, _, _ = draw_chain_inputs(rng)
         cases += [(params, grid) for grid in grids[1:4]]
@@ -193,7 +222,8 @@ def test_half_ring_evaluation_matches_full_grid(rng):
         for kind in QuotientKind:
             got = sup_estimates(params, classes, kind, grid)
             assert got == full_grid_sup_estimates(params, classes, kind, grid)
-    assert sup_estimate(BAD, CLS01, QuotientKind.STARLIKE, grids[-1]).degenerate_points == 6
+    assert sup_estimate(J0_PARAMS, CLS01, QuotientKind.STARLIKE, zero_ring).degenerate_points == 1
+    assert sup_estimate(J0_PARAMS, CLS01, QuotientKind.CONVEX, zero_ring).degenerate_points == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 720])

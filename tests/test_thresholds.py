@@ -99,6 +99,9 @@ def test_tol_domain():
         find_threshold(1, tol=0.0)
     with pytest.raises(DomainError):
         find_all_thresholds(1, tol=-1e-9)
+    for tol in (math.nan, math.inf):  # NaN passes tol <= 0; inf stops bisection at once
+        with pytest.raises(DomainError):
+            find_all_thresholds(1, tol=tol)
 
 
 def test_positivity_scan_examples():

@@ -6,7 +6,8 @@ The package evaluates the normalized series
 
 decides membership in the starlike and convex families S*(alpha, beta) and
 K(alpha, beta) through three independent layers (closed-form sufficient
-conditions, weighted coefficient sums, direct unit-disk sampling), locates
+conditions, weighted coefficient sums, the sup over the unit disk: exact on
+the real axis for beta = 1, sampled for beta < 1), locates
 the positivity thresholds of the specialized condition functions, and
 exposes everything through the besselgeom command-line tool.
 """

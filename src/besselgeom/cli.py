@@ -59,7 +59,7 @@ from .thresholds import (
     sample_grid,
 )
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 # The layers `check --mode` runs: one of them, or all three.
 CHECK_MODES = ("lemma", "theorem", "disk", "all")
@@ -303,7 +303,7 @@ def _layers(klass: str) -> tuple:
 def _consistent(
     thm: ConditionVerdict | None, rep: SumReport | None, est: SupEstimate | None
 ) -> bool:
-    """The chain theorem => lemma => no sampled violation; a layer that did not run is None."""
+    """The chain theorem => lemma => no disk violation; a layer that did not run is None."""
     if rep is None:  # both links pass through the lemma
         return True
     if thm is not None and thm.holds and rep.status is SumStatus.FAILS:

@@ -34,6 +34,7 @@ from besselgeom import (
     starlike_sum_closed_form,
     sup_estimate,
 )
+from besselgeom import disk
 from besselgeom.disk import GUARD
 from conftest import draw_chain_inputs, ref_coeff, ref_u_derivs
 from test_bessel import ode_residual
@@ -103,14 +104,15 @@ def test_04_duality():
         assert abs(got - want) < 1e-12, (params, cls)
 
     # quotient level: the convex quotient of u is the starlike quotient of
-    # g = z u'.  The disk evaluator's convex maximum on a small grid must
-    # equal the maximum of the starlike quotient of g, evaluated through an
-    # independent series for z u', over the points neither side guards.
+    # g = z u'.  The disk layer's grid evaluator (the one beta < 1 classes
+    # run) must give as the convex maximum on a small grid the maximum of the
+    # starlike quotient of g, evaluated through an independent series for
+    # z u', over the points neither side guards.
     for _ in range(40):
         params, alpha, beta = draw_chain_inputs(rng)
         grid = DiskGrid(radii=(rng.uniform(0.05, 0.5), rng.uniform(0.5, 0.95)),
                         angles_per_ring=12)
-        got = sup_estimate(params, ClassSpec(alpha, beta), QuotientKind.CONVEX, grid)
+        got = disk._grid_estimates(params, [ClassSpec(alpha, beta)], QuotientKind.CONVEX, grid)[0]
         want = 0.0
         for z in grid.points().tolist():
             _, up, upp = ref_u_derivs(params.p, params.b, params.c, z)

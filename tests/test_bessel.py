@@ -286,18 +286,18 @@ def test_large_c_terms_stay_finite(c, z):
     # stop, while every term a_k z^(k-1) is finite; against a 50-digit 0F1
     import mpmath
 
-    mpmath.mp.dps = 50
-    q, x = 1.0, -c * z
-    f0, f1, f2 = (mpmath.hyp0f1(q + j, x) for j in range(3))
-    want = (
-        z * f0,
-        f0 + z * (-c) / q * f1,
-        2 * (-c) / q * f1 + z * mpmath.mpf(c) ** 2 / (q * (q + 1)) * f2,
-    )
-    for sv, ref in zip(eval_u_derivatives(BesselParams(0.0, 1.0, c), z), want):
-        assert math.isfinite(sv.value)
-        assert sv.tail_bound < 1e-13
-        assert abs(sv.value - ref) <= 1e-13 * abs(ref)
+    with mpmath.workdps(50):
+        q, x = 1.0, -c * z
+        f0, f1, f2 = (mpmath.hyp0f1(q + j, x) for j in range(3))
+        want = (
+            z * f0,
+            f0 + z * (-c) / q * f1,
+            2 * (-c) / q * f1 + z * mpmath.mpf(c) ** 2 / (q * (q + 1)) * f2,
+        )
+        for sv, ref in zip(eval_u_derivatives(BesselParams(0.0, 1.0, c), z), want):
+            assert math.isfinite(sv.value)
+            assert sv.tail_bound < 1e-13
+            assert abs(sv.value - ref) <= 1e-13 * abs(ref)
 
 @settings(max_examples=80, deadline=None)
 @given(

@@ -145,13 +145,37 @@ def test_check_record_rejects_unknown_mode():
 
 
 def test_check_disk_coefficient_cap_exits_2(capsys):
-    # |c| = 1e6 exhausts the disk layer's term cap: a diagnostic, not a silent 0.0
-    code = main(["check", "--p", "1", "--b", "1", "--c=-1e6", "--alpha", "0",
+    # |c| = 1e9 exhausts the disk layer's 10,000-level cap: a diagnostic, not a silent 0.0
+    code = main(["check", "--p", "1", "--b", "1", "--c=-1e9", "--alpha", "0",
                  "--beta", "1", "--class", "star", "--mode", "disk"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_check_disk_refuses_nonpositive_q(capsys):
+    # q = -0.2: the real-axis theorem needs q > 0, as the criteria do
+    code = main(["check", "--p=-1.2", "--b", "1", "--c", "1", "--alpha", "0",
+                 "--beta", "1", "--class", "star", "--mode", "disk"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the disk layer requires q > 0, got q = -0.19999999999999996\n"
+
+
+def test_check_convex_zero_inside_first_ring(capsys):
+    # u' vanishes at z = 0.0518, inside the grid's first ring: sampling read
+    # violations 0 and max_quotient 0.5004 for this non-convex function
+    code, rec = run_json(capsys, [
+        "check", "--p=-0.9", "--b", "1", "--c", "1", "--alpha", "0",
+        "--beta", "1", "--class", "convex", "--mode", "all"])
+    assert code == 0
+    disk_rec = rec["result"]["disk"]
+    assert disk_rec["max_quotient"] == math.inf
+    assert disk_rec["violations"] == 1
+    assert disk_rec["argmax"] == {"re": 1.0, "im": 0.0}
+    assert rec["result"]["consistent"]  # the theorem and the lemma fail too
 
 
 def test_check_starlike_overflow_gives_verdict(capsys):
@@ -242,10 +266,10 @@ CHECK_PARAMS = [
 ]
 CHECK_CLASSES = [(0.0, 1.0), (0.5, 0.5), (0.9, 0.05)]
 PINNED_CHECKS = {
-    "theorem": "680f740c68d7555ae3d056612d47b270d2cc3c5a903d928eedfd1de27c66b3fe",
-    "lemma": "1d391e77203804f5fbec4bb2556ddaad550fd13ef185d71b7b65f67f320b5fd5",
-    "disk": "b521ca35eebb789b7608384bfca3193adb9825b866815bc6d95b908850e89278",
-    "all": "6ef18f0ec6b0f2cca913454aa547cd8754697bbd0c22d918aa57d8747ea66fc9",
+    "theorem": "4cd13b791d0183b0ded540c0de1263cf14c7c60c10b042704930f9c37cd61f56",
+    "lemma": "42202bfd3b4ae1cf53cdde8769837f791a5c2f05c902160b6c990b390620d360",
+    "disk": "e499fdc31c85755658b0fadd41ab35ca8782ef64591115ee3e4d5494310388c5",
+    "all": "e9d053d82ea0cadf8526d28ddedb4efd70f821d0737ff5cd043b8788536af65f",
 }
 
 
@@ -267,16 +291,16 @@ def test_check_json_bytes_pinned(capsys, mode):
 # check, threshold, figure and scan pins this covers every subcommand.
 PINNED_RECORDS = {
     "eval-real": (["eval", "--p", "0", "--b", "1", "--c", "1", "--z", "1"],
-                  "6323eeab23dd5b6e92ac41a223ef34de6f7b90879191f5bd8ac1f8648466133a"),
+                  "7f6f44ea66ddb1f78569037da5ee38924feb8de0f3bf2e7f8d36cfecd7fb59e2"),
     "eval-complex": (["eval", "--p", "0.5", "--b", "2", "--c", "-1", "--z", "0.25,0.1"],
-                     "df865b38a759a1b8f31ba82d559ccbce3abd389bed3197634a2804dd1133e506"),
+                     "8f9214c513c71c969097c690826a46685e03bf9ab6c494cbb1aaeb4dae13ae07"),
     "eval-w": (["eval", "--p", "1.5", "--b", "1", "--c", "-1", "--z", "2", "--w"],
-               "2e4cbbf95ce2e39ddb5b68ae43b2e7331701093f56768d54424a363798d62b7f"),
+               "e7892a781a8237f6545da8bd8df9cff613873f4921ae7559269a85da125c6d5a"),
     "eval-zero": (["eval", "--p", "1", "--b", "1", "--c", "-1", "--z", "0"],
-                  "bf46d5a47acd07df36a860985f536446795f4660e0c77e4d5c0aa15d9bf49e9e"),
+                  "88c5f8b830a654c3d052a9df80d27550a09bab58a337d8aa26fae34b139a8a01"),
     "check-saturated": (["check", "--p", "0", "--b", "1", "--c=-2000", "--alpha", "0",
                          "--beta", "1", "--class", "star", "--mode", "theorem"],
-                        "e1a382721d9c73c81e625ae532e9d9176feb58ec456bed1f40e0684ed879ac23"),
+                        "5e4d0d8ebf356fe42662b1bd7189bc48eb4562beb21baddebf616a3832172bc8"),
 }
 
 
@@ -395,17 +419,17 @@ def test_figure_rejects_unbounded_grid(capsys, bound):
 # benchmark's seed-1 arguments.  A deliberate change to this output re-pins
 # these hashes, with a note in CHANGES.md saying why the bytes moved.
 PINNED_THRESHOLDS = {
-    1: "6f08678ae9eda2d80b80e6dcaaf73f429fe785a5ef4afa262e1b05d56ce0c7a6",
-    2: "b57a3302a9f1195221485e2f7436f414013de5069847b17657596564b34ecfea",
-    3: "0247602d8a32a7a8c77489415d05ffc50680eb44252ff4b9385d76bb7522e467",
-    4: "1ffe6aac6023509f0068c3cb2425f620fa4bd0d54d6b37787b8f8c4c0e5977b0",
-    5: "a07ade262a45d7cf60e7fff4f2cf4ee2ebf746dbc725c4a028fbc012b60472c2",
-    6: "62f8f7d14fdeda046eefb9626046422d91f32dfd709c148d16c4dd919672f6c7",
+    1: "a93fd3e7e948ab376d606cf3391b953a38af7af5efe7e3e1ecfe7519a6f06a04",
+    2: "c8ce219a89232badc1c823cd4a44a49d5bf5b47ae2607ff599c5a805c4587699",
+    3: "59b3d48fa4923c46295c104d6e77faa2e57ab565091cc93d8677582af9e4e56c",
+    4: "9544b7000d4b357abc3fc853f8ca5b265f2d89431d8e6cde67a18cf35cdad13d",
+    5: "5ef1427afd234d3848b4ae096b601068a1e5930d3d678f77021f62ab53873585",
+    6: "9af19eba9d8ad6e9edfd6b72c7836d71cf6dfb27d187d7e02b21ed4f4bc5d80b",
 }
 PINNED_FIGURE_ARGS = ["figure", "--figure", "1", "--low=-1.988656357558876",
                       "--high=98.00134364244113", "--step=0.01"]
 PINNED_FIGURES = {
-    "json": "55e793912d7b1c8296a665281fc785b6d01a605e270c540c509e70b65b4c4b79",
+    "json": "d6e3dfc9e5ddfeb8424444029646811bc854bf4307c7b45aa6dfc025b5016771",
     "csv": "4b7c886343b117148eb4c0e1a93cfd24c7aff41c8a546a98d670681ca6028cde",
 }
 
@@ -461,7 +485,9 @@ def test_scan_parallel_identical(capsys):
 
 
 def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
-    # the rows of one p share the disk series: 30 builds for 30 x 3 x 2 rows
+    # the rows of one p share the disk series: 30 builds for 30 x 3 x 2 rows,
+    # whose beta = 0.5 rows are sampled (c = -0.1 leaves every order free of
+    # a pole of the quotient, which would decide its rows without the grid)
     builds = []
     real = disk._coefficients
 
@@ -470,7 +496,7 @@ def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
         return real(q, x, eps, rho, weight)
 
     monkeypatch.setattr(disk, "_coefficients", counting)
-    code = main(["scan", "--b", "1", "--c", "-1", "--p-range", "0,3",
+    code = main(["scan", "--b", "1", "--c=-0.1", "--p-range", "0,3",
                  "--alpha-range", "0,0.5", "--beta-range", "0.5,1",
                  "--class", "convex", "--steps", "30,3,2"])
     assert code == 0
@@ -479,14 +505,40 @@ def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
     assert len(set(builds)) == 30
 
 
+def test_beta1_scan_runs_one_real_axis_pass_per_order(capsys, monkeypatch):
+    # beta = 1 rows are decided at z = sign(c): one continued fraction per
+    # order p, and the grid is never built or evaluated
+    calls = []
+    real = disk._real_axis
+
+    def counting(q, s, which):
+        calls.append(q)
+        return real(q, s, which)
+
+    def forbidden(*args):
+        raise AssertionError("the grid ran for a beta = 1 scan")
+
+    monkeypatch.setattr(disk, "_real_axis", counting)
+    monkeypatch.setattr(disk, "_half_rings", forbidden)
+    monkeypatch.setattr(disk, "_horner", forbidden)
+    for klass in ("star", "convex"):
+        calls.clear()
+        code = main(["scan", "--b", "1", "--c", "1", "--p-range=-0.9,20",
+                     "--alpha-range", "0,0.5", "--beta-range", "1,1",
+                     "--class", klass, "--steps", "30,3,1"])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 90
+        assert len(calls) == len(set(calls)) == 30
+
+
 # SHA-256 of the whole scan CSV.  A deliberate change to scan output
 # re-pins these hashes, with a note in CHANGES.md saying why the bytes moved;
 # the test ids name the class, so a re-pin keeps the test names.
 PINNED_SCANS = [
     (["--b", "1", "--c", "1", "--p-range=-0.9,20", "--class", "star"],
-     "e19ef77108ccda09cdd99f936e9a9d135faa9101026b97f2c703b81917d020a1"),
+     "35de0935b2c7fe9f8cf453d21d1c1ac56831801d1cd42be62b429ab19d189c4a"),
     (["--b", "0.5", "--c=-25", "--p-range=-0.5,30", "--class", "convex"],
-     "e30e2380d04c42f4b5e97871c7e6954d59f926208d04e783d9f42b7ee26f7b2f"),
+     "d97dbb60f3c2a34b9da2e9eb98178d0000239c8bbaf0e39d2282575f819fab46"),
 ]
 
 

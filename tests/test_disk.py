@@ -1,7 +1,13 @@
-"""Unit-disk sampling: quotients, guards, vectorized sup estimates."""
+"""Unit-disk layer: the exact real-axis sup, and the grid for beta < 1."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselgeom import (
     DEFAULT_GRID,
@@ -23,9 +29,12 @@ from besselgeom import (
 from conftest import draw_chain_inputs, ref_u_derivs
 
 CLS01 = ClassSpec(0.0, 1.0)
+CLS05 = ClassSpec(0.0, 0.5)  # a beta < 1 class: the grid's maximum, as for any beta
 
 # Deliberately extreme regression fixture: q = 0.05, c = -5 has a zero of u
-# inside the disk and violates the starlike bound on 163 default-grid points.
+# inside the disk, at |z| = 0.0102 inside the first ring, and violates the
+# starlike bound on 163 default-grid points.  The grid evaluator is run on it
+# directly: sup_estimates finds the zero first and reports sup = inf.
 BAD = BesselParams(-0.95, 1.0, -5.0)
 BAD_MAX = 2.6787924754830135
 BAD_VIOLATIONS = 163
@@ -83,18 +92,20 @@ def test_default_grid_shape():
 
 
 def test_violation_fixture_frozen():
-    est = sup_estimate(BAD, CLS01, QuotientKind.STARLIKE)
+    est = disk._grid_estimates(BAD, [CLS01], QuotientKind.STARLIKE, DEFAULT_GRID)[0]
     assert est.max_quotient == pytest.approx(BAD_MAX, rel=1e-12)
     assert est.violations == BAD_VIOLATIONS
     assert est.degenerate_points == 0
     assert abs(est.argmax_z - complex(-0.5, 0.0)) < 1e-9
+    # the zero inside the first ring is a pole of the quotient
+    assert sup_estimate(BAD, CLS01, QuotientKind.STARLIKE) == SupEstimate(math.inf, -1 + 0j, 1, 0)
 
 
 def test_degenerate_counted_not_fatal():
     # a two-point ring through the real zero of u: one point trips the
     # guard and is excluded, the other still reports a quotient
     grid = DiskGrid(radii=(-U_ZERO,), angles_per_ring=2)
-    est = sup_estimate(BAD, CLS01, QuotientKind.STARLIKE, grid)
+    est = disk._grid_estimates(BAD, [CLS01], QuotientKind.STARLIKE, grid)[0]
     assert est.degenerate_points == 1
     assert est.violations == 0
     assert est.max_quotient == pytest.approx(0.2077952770540287, rel=1e-10)
@@ -140,7 +151,7 @@ def test_max_quotient_near_origin(r):
     params = BesselParams(1.3, 1.0, -0.7)
     grid = DiskGrid(radii=(r,), angles_per_ring=16)
     for kind in QuotientKind:
-        est = sup_estimate(params, CLS01, kind, grid)
+        est = sup_estimate(params, CLS05, kind, grid)
         want = max(mp_quotient(params, z, 0.0, kind) for z in grid.points().tolist())
         assert est.degenerate_points == 0
         assert abs(est.max_quotient - want) <= 1e-14 * want, kind
@@ -153,7 +164,7 @@ def test_vectorized_matches_scalar(rng):
         params, alpha, beta = draw_chain_inputs(rng)
         cls = ClassSpec(alpha, beta)
         for kind in QuotientKind:
-            est = sup_estimate(params, cls, kind, grid)
+            est = disk._grid_estimates(params, [cls], kind, grid)[0]
             quots = [ref_quotient(params, complex(z), cls.alpha, kind) for z in grid.points()]
             best = max((x for x in quots if x is not None), default=0.0)
             assert est.max_quotient == pytest.approx(best, rel=1e-10)
@@ -174,9 +185,14 @@ def test_certified_draws_have_no_violations(rng):
 
 
 def test_sup_argmax_on_outer_ring():
-    est = sup_estimate(BesselParams(10.0, 1.0, -0.1), CLS01, QuotientKind.STARLIKE)
+    params = BesselParams(10.0, 1.0, -0.1)
+    est = sup_estimate(params, CLS05, QuotientKind.STARLIKE)
     assert abs(abs(est.argmax_z) - 0.999) < 1e-12
     assert est.violations == 0
+    # beta = 1: the exact sup sits at z = sign(c), just above the outer ring's maximum
+    exact = sup_estimate(params, CLS01, QuotientKind.STARLIKE)
+    assert exact.argmax_z == -1 + 0j
+    assert est.max_quotient < exact.max_quotient < 1.01 * est.max_quotient
 
 
 def test_sup_estimates_equals_per_class_calls():
@@ -194,8 +210,9 @@ def test_sup_estimates_equals_per_class_calls():
         for kind in QuotientKind:
             got = sup_estimates(params, classes, kind, grid)
             assert got == [sup_estimate(params, cls, kind, grid) for cls in classes]
-    # the degenerate fixture really exercises the guard on both paths
-    assert sup_estimates(BAD, classes, QuotientKind.STARLIKE, small)[0].degenerate_points == 1
+    # the zero of u inside the disk decides every class before any grid
+    for kind in QuotientKind:
+        assert {e.max_quotient for e in sup_estimates(BAD, classes, kind, small)} == {math.inf}
     assert sup_estimates(BAD, [], QuotientKind.CONVEX) == []
 
 
@@ -220,10 +237,11 @@ def test_half_ring_evaluation_matches_full_grid(rng):
         cases.append((BesselParams(rng.uniform(-0.4, 6.0), 2.0, c), grids[rng.randrange(4)]))
     for params, grid in cases:
         for kind in QuotientKind:
-            got = sup_estimates(params, classes, kind, grid)
+            got = disk._grid_estimates(params, classes, kind, grid)
             assert got == full_grid_sup_estimates(params, classes, kind, grid)
-    assert sup_estimate(J0_PARAMS, CLS01, QuotientKind.STARLIKE, zero_ring).degenerate_points == 1
-    assert sup_estimate(J0_PARAMS, CLS01, QuotientKind.CONVEX, zero_ring).degenerate_points == 0
+    star, convex = (disk._grid_estimates(J0_PARAMS, [CLS01], kind, zero_ring)[0]
+                    for kind in QuotientKind)
+    assert (star.degenerate_points, convex.degenerate_points) == (1, 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 720])
@@ -255,7 +273,7 @@ def test_series_evaluated_on_half_of_each_ring(monkeypatch):
         return real(coeffs, zs)
 
     monkeypatch.setattr(disk, "_horner", counting)
-    sup_estimates(BesselParams(1.0, 1.0, -1.0), [CLS01], QuotientKind.CONVEX)
+    sup_estimates(BesselParams(1.0, 1.0, -0.5), [CLS05], QuotientKind.CONVEX)
     assert sizes == [12 * 361, 12 * 361]  # 4,332 of the 8,640 grid points
 
 
@@ -267,7 +285,7 @@ def test_series_evaluated_on_half_of_each_ring(monkeypatch):
     BesselParams(-1.7, 1.0, 3.0),  # q = -0.7
 ])
 def test_disk_coefficients_equal_coefficient(monkeypatch, params):
-    # the first Horner lane of the starlike quotient is u / z = sum_k a_k z^(k-1)
+    # the first Horner lane of the starlike grid quotient is u / z = sum_k a_k z^(k-1)
     lanes = []
     real = disk._horner
 
@@ -276,13 +294,123 @@ def test_disk_coefficients_equal_coefficient(monkeypatch, params):
         return real(coeffs, zs)
 
     monkeypatch.setattr(disk, "_horner", recording)
-    sup_estimates(params, [CLS01], QuotientKind.STARLIKE)
+    disk._grid_estimates(params, [CLS01], QuotientKind.STARLIKE, DEFAULT_GRID)
     a = lanes[0].tolist()
     assert len(a) > bessel.MIN_TERMS
     assert a == [coefficient(params, k) for k in range(1, len(a) + 1)]
 
 
 def test_coefficient_cap_raises():
-    # |c| = 1e6 needs far more than the 10,000-term cap; no silent truncation
+    # no silent truncation: |c| = 1e9 needs about 63,000 continued-fraction
+    # levels, and the grid series at |c| = 1e6 far more than 10,000 terms
     with pytest.raises(NoConvergenceError):
-        sup_estimate(BesselParams(1.0, 1.0, -1e6), CLS01, QuotientKind.STARLIKE)
+        sup_estimate(BesselParams(1.0, 1.0, -1e9), CLS01, QuotientKind.STARLIKE)
+    with pytest.raises(NoConvergenceError):
+        disk._grid_estimates(BesselParams(1.0, 1.0, -1e6), [CLS01], QuotientKind.STARLIKE,
+                             DEFAULT_GRID)
+
+
+# ---------------------------------------------------------------------------
+# the exact real-axis sup (beta = 1) and the pole check every class runs first
+
+
+def mp_lane(params, kind):
+    """t -> f / z at z = t sign(c) from mpmath's 0F1: u / z or u'."""
+    q, s = mpmath.mpf(params.q), mpmath.mpf(abs(params.c))
+    if kind is QuotientKind.STARLIKE:
+        return lambda t: mpmath.hyp0f1(q, -s * t)
+    return lambda t: mpmath.hyp0f1(q, -s * t) - s * t / q * mpmath.hyp0f1(q + 1, -s * t)
+
+
+def mp_real_axis_n(q, s, kind):
+    """n = z f'/f - 1 at z = sign(c), |c| = s, from 50-digit 0F1 values."""
+    with mpmath.workdps(50):
+        q, x = mpmath.mpf(q), -mpmath.mpf(s)
+        f0, f1, f2 = (mpmath.hyp0f1(q + j, x) for j in range(3))
+        if kind is QuotientKind.STARLIKE:
+            return x * f1 / (q * f0)  # z u'/u - 1
+        return x * (2 * f1 / q + x * f2 / (q * (q + 1))) / (f0 + x * f1 / q)  # z u''/u'
+
+
+def test_disk_refuses_nonpositive_q():
+    # for q <= 0, F_q can have complex zeros and the real-axis theorem fails
+    for params in (BesselParams(-1.2, 1.0, 1.0), BesselParams(-1.7, 1.0, 3.0)):
+        for cls in (CLS01, CLS05):
+            with pytest.raises(DomainError, match="q > 0"):
+                sup_estimate(params, cls, QuotientKind.STARLIKE)
+
+
+@pytest.mark.parametrize("pbc", [(-0.9, 1.0, 1.0), (-0.95, 1.0, 0.5)])
+@pytest.mark.parametrize("kind", list(QuotientKind))
+@pytest.mark.parametrize("beta", [1.0, 0.7])
+def test_zero_inside_first_ring_is_a_violation(pbc, kind, beta):
+    # q = 0.1 and 0.05: f / z vanishes near |z| = q / |c| (u / z, at 0.105
+    # and 0.102) or q / (2 |c|) (u', at 0.0518 and 0.0509, inside the grid's
+    # first ring, where sampling found no convex violation)
+    params = BesselParams(*pbc)
+    f = mp_lane(params, kind)
+    with mpmath.workdps(30):
+        assert f(0) > 0 > f(0.11)  # a real zero between 0 and 0.11 sign(c)
+    est = sup_estimate(params, ClassSpec(0.0, beta), kind)
+    assert est.max_quotient == math.inf
+    assert est.violations >= 1
+
+
+def test_exact_sup_at_large_c():
+    # (0, 1, -300): u(-t) = -t J_0(2 sqrt(300 t)) for t > 0, with 11 zeros
+    # on (0, 1), where the grid's Horner sums cancel (u(-0.95) read -0.001285
+    # against -0.001557)
+    q, s = 1.0, 300.0
+    zeros = sum(1 for k in range(1, 40) if mpmath.besseljzero(0, k) < 2 * mpmath.sqrt(s))
+    assert disk._fraction(q, s)[2] == zeros == 11
+    for kind in QuotientKind:
+        assert sup_estimate(BesselParams(0.0, 1.0, -s), CLS01, kind).max_quotient == math.inf
+    # the continued fraction at the grid's failure point z = -0.95, where
+    # r_0 and r_1 are ratios of 0F1 values
+    r, r1, _ = disk._fraction(q, 0.95 * s)
+    with mpmath.workdps(50):
+        f0, f1, f2 = (mpmath.hyp0f1(q + j, -0.95 * s) for j in range(3))
+        assert abs(r - f1 / f0) <= 1e-13 * abs(f1 / f0)
+        assert abs(r1 - f2 / f1) <= 1e-13 * abs(f2 / f1)
+
+
+QS = st.floats(0.01, 40.0)
+CS = st.floats(0.0, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(QS, CS)
+def test_real_axis_n_matches_mpmath(q, s):
+    # n reaches an output only where f / z is zero-free and n > -2 = -2 (1 - 0):
+    # below -2 every class has a pole, and near a zero n is ill-conditioned
+    for kind in QuotientKind:
+        n = disk._real_axis(q, s, kind)
+        if n > -2.0:
+            want = float(mp_real_axis_n(q, s, kind))
+            assert abs(n - want) <= 1e-12 * (1.0 + abs(want)), kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(QS, CS)
+def test_fraction_counts_zeros(q, s):
+    # negative denominators = zeros of F_q(-y) on 0 < y < s, by a dense sign
+    # scan uniform in sqrt(y), in which the zeros are about pi / 2 apart
+    t = np.linspace(0.0, math.sqrt(s), 20_001)
+    signs = np.sign(sp.hyp0f1(q, -t * t))
+    assert disk._fraction(q, s)[2] == int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(QS, st.floats(0.0, 50.0), st.floats(0.0, 0.99))
+def test_exact_sup_bounds_the_grid(q, c, alpha):
+    # the grid is the oracle: it samples inside the disk, the exact sup is the
+    # sup over it, so no grid maximum may exceed it beyond rounding; and the
+    # sup depends on |c| alone
+    cls = ClassSpec(alpha, 1.0)
+    for kind in QuotientKind:
+        ests = [sup_estimate(BesselParams(q - 1.0, 1.0, cc), cls, kind) for cc in (c, -c)]
+        assert ests[0].max_quotient == ests[1].max_quotient
+        if ests[0].max_quotient < math.inf:
+            grid = disk._grid_estimates(BesselParams(q - 1.0, 1.0, -c), [cls], kind, DEFAULT_GRID)
+            # (the absolute floor covers subnormal sups, which carry no relative precision)
+            assert grid[0].max_quotient <= ests[0].max_quotient * (1.0 + 1e-12) + 1e-300

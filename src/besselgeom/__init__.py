@@ -43,6 +43,7 @@ from .criteria import (
     convex_sum,
     starlike_sum,
     starlike_sum_closed_form,
+    sum_reports,
 )
 from .disk import (
     DEFAULT_GRID,
@@ -59,6 +60,7 @@ from .errors import (
     NoBracketError,
     NoConvergenceError,
     PoleError,
+    SeriesOverflowError,
     SingularityError,
 )
 from .thresholds import (
@@ -96,6 +98,7 @@ __all__ = [
     "QuotientKind",
     "RootResult",
     "SPECIAL_CRITERIA",
+    "SeriesOverflowError",
     "SeriesValue",
     "SingularityError",
     "SumReport",
@@ -118,6 +121,7 @@ __all__ = [
     "starlike_condition",
     "starlike_sum",
     "starlike_sum_closed_form",
+    "sum_reports",
     "sup_estimate",
     "sup_estimates",
 ]

@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError, NoConvergenceError, PoleError
+from .errors import DomainError, NoConvergenceError, PoleError, SeriesOverflowError
 
 # Working region for the normalized series: unit disk plus margin.
 MAX_ABS_Z = 4.0
@@ -52,6 +52,7 @@ DEFAULT_EPS = 1e-13
 
 _EPS_ULP = sys.float_info.epsilon
 _TINY = math.ulp(0.0)  # the smallest positive double
+_INF = math.inf
 _MIN_NORMAL = sys.float_info.min
 
 
@@ -179,7 +180,10 @@ def _coefficients(
     the discarded terms w(k) |a_k| rho^(k-1), k > K, are dominated by a
     geometric series of ratio r and sum to at most bound.  a_(K+1), the
     first discarded coefficient, is the last entry of the list.  Raises
-    NoConvergenceError when no K <= MAX_TERMS qualifies.
+    NoConvergenceError when no K <= MAX_TERMS qualifies, and its subclass
+    SeriesOverflowError at once at the first index past MIN_TERMS with
+    q + k > 0 whose coefficient is inf or nan: a non-finite a_k stays
+    non-finite, so no later bound could fall below eps.
 
     terms > 0 turns the stop rule off, for coefficient: the list is then
     exactly a_1..a_terms, r and bound are 0, and eps, rho and weight are
@@ -198,6 +202,10 @@ def _coefficients(
         ak = ak * x / denom
         a.append(ak)  # a_1 .. a_(k+1)
         if not terms and k > MIN_TERMS and q + k > 0.0:
+            if not abs(ak) < _INF:
+                raise SeriesOverflowError(
+                    f"term {k + 1} overflows, so tail bound {eps!r} cannot be certified"
+                )
             r = scale / ((q + k) * (k + 1.0)) * (weight(k + 2) / weight(k + 1))
             if r <= 0.5:
                 bound = abs(weight(k + 1) * ak) * rho_k / (1.0 - r)

@@ -25,9 +25,10 @@ Non-finite values can reach the output only through saturation of auxiliary
 quantities; they serialize as JavaScript-style Infinity literals, which the
 stdlib json module reads back.
 
-scan evaluates the disk layer once per order p: the rows of one p differ only
-in alpha and beta.  main builds the argparse parser once per process, on its
-first call (not at import), and reuses it: parsing never changes it.
+scan evaluates the coefficient sums and the disk layer once per order p: the
+rows of one p differ only in alpha and beta.  main builds the argparse parser
+once per process, on its first call (not at import), and reuses it: parsing
+never changes it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .bessel import BesselParams, SeriesValue, eval_u_derivatives, eval_w
 from .conditions import ConditionVerdict, Variant, convex_condition, starlike_condition
-from .criteria import ClassSpec, SumReport, SumStatus, convex_sum, starlike_sum
+from .criteria import ClassSpec, SumReport, SumStatus, sum_reports
 from .disk import DEFAULT_GRID, QuotientKind, SupEstimate, sup_estimate, sup_estimates
 from .errors import BesselGeomError, DomainError
 from .thresholds import (
@@ -292,11 +293,16 @@ def _steps_flag(text: str) -> tuple[int, int, int]:
 
 
 def _layers(klass: str) -> tuple:
-    """(condition, coefficient sum, QuotientKind) of a class, read from the globals per call."""
+    """(condition, coefficient sums, QuotientKind) of a class, read from the globals per call.
+
+    The sums take (params, classes) and return one SumReport per class.
+    """
     if klass == "star":
-        return starlike_condition, starlike_sum, QuotientKind.STARLIKE
+        sums = functools.partial(sum_reports, convex=False)
+        return starlike_condition, sums, QuotientKind.STARLIKE
     if klass == "convex":
-        return convex_condition, convex_sum, QuotientKind.CONVEX
+        sums = functools.partial(sum_reports, convex=True)
+        return convex_condition, sums, QuotientKind.CONVEX
     raise DomainError(f"class must be star or convex, got {klass!r}")
 
 
@@ -338,14 +344,14 @@ def check_record(
     params = BesselParams(p, b, c)
     cls = ClassSpec(alpha, beta)
     var = Variant(variant)
-    cond, lem, kind = _layers(klass)
+    cond, sums, kind = _layers(klass)
     thm = rep = est = None
     result: dict = {}
     if mode in ("theorem", "all"):
         thm = cond(params, cls, var)
         result["theorem"] = _condition(thm)
     if mode in ("lemma", "all"):
-        rep = lem(params, cls)
+        rep = sums(params, [cls])[0]
         result["lemma"] = _sum_report(rep)
     if mode in ("disk", "all"):
         est = sup_estimate(params, cls, kind, DEFAULT_GRID)
@@ -406,21 +412,22 @@ def scan_record(
     klass: str,
     steps: tuple[int, int, int],
 ) -> dict:
-    cond, lem, kind = _layers(klass)
+    cond, sums, kind = _layers(klass)
 
     ps = np.linspace(p_range[0], p_range[1], steps[0]).tolist()
     alphas = np.linspace(alpha_range[0], alpha_range[1], steps[1]).tolist()
     betas = np.linspace(beta_range[0], beta_range[1], steps[2]).tolist()
     pairs = [(a, bt) for a in alphas for bt in betas]
+    classes = [ClassSpec(a, bt) for a, bt in pairs]
 
     rows = []
     consistent = True
-    for p in ps:  # the disk layer runs once for all rows of one p
+    for p in ps:  # the sum and disk layers run once for all rows of one p
         params = BesselParams(p, b, c)
-        classes = [ClassSpec(a, bt) for a, bt in pairs]
-        verdicts = [(cond(params, cls), lem(params, cls)) for cls in classes]
+        thms = [cond(params, cls) for cls in classes]
+        reps = sums(params, classes)
         ests = sup_estimates(params, classes, kind, DEFAULT_GRID)
-        for (a, bt), (thm, rep), est in zip(pairs, verdicts, ests):
+        for (a, bt), thm, rep, est in zip(pairs, thms, reps, ests):
             consistent &= _consistent(thm, rep, est)
             rows.append({
                 "p": p, "alpha": a, "beta": bt,

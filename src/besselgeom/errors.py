@@ -17,6 +17,10 @@ class NoConvergenceError(BesselGeomError):
     """The truncation rule did not certify the requested tail bound within the term cap."""
 
 
+class SeriesOverflowError(NoConvergenceError):
+    """A series term overflowed binary64, so no tail bound can be certified past it."""
+
+
 class SingularityError(BesselGeomError):
     """A threshold function was evaluated exactly at its essential singularity."""
 

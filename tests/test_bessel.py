@@ -14,12 +14,14 @@ from besselgeom import (
     DomainError,
     NoConvergenceError,
     PoleError,
+    SeriesOverflowError,
     coefficient,
     eval_u,
     eval_u_derivatives,
     eval_w,
     params_of_kind,
 )
+from besselgeom.bessel import _coefficients
 from conftest import ref_coeff, ref_u, ref_u_derivs
 
 # Frozen reference values (compensated summation / scipy.special, 17 digits).
@@ -278,6 +280,23 @@ def test_no_convergence_cap():
     with pytest.raises(NoConvergenceError):
         eval_u(params, 4.0, eps=1e-13)
 
+
+
+def test_overflowing_terms_stop_at_once():
+    # the terms at |c z| = 4e9 overflow long before the cap: the kernel stops
+    # at the first tested inf (a NoConvergenceError) instead of running on
+    steps = []
+
+    def weight(k):
+        steps.append(k)
+        return k * (k - 1.0)
+
+    with pytest.raises(SeriesOverflowError, match="overflows"):
+        _coefficients(1.0, 4e9, 1e-13, 1.0, weight)
+    assert max(steps) < 100  # a_k is inf from k = 44 on
+    assert issubclass(SeriesOverflowError, NoConvergenceError)
+    with pytest.raises(SeriesOverflowError):
+        eval_u(BesselParams(0.0, 1.0, -1e9), 4.0, eps=1e-13)
 
 
 @pytest.mark.parametrize("c, z", [(-1e4, 4.0), (-1e7, 1e-4)])

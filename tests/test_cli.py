@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselgeom import DomainError, SumReport, SumStatus, bessel, cli, disk, thresholds
+from besselgeom import DomainError, SumReport, SumStatus, bessel, cli, criteria, disk, thresholds
 from besselgeom.cli import (
     check_record,
     eval_record,
@@ -190,6 +190,26 @@ def test_check_starlike_overflow_gives_verdict(capsys):
     assert rec["result"]["consistent"]
 
 
+def test_overflowing_sum_fails_in_check_and_scan(capsys):
+    # m_k overflows at |c| = 2e5: the lemma fails with an infinite sum
+    # instead of exiting 2 after 10,000 terms, and a scan prints its rows
+    code, rec = run_json(capsys, [
+        "check", "--p", "0.5", "--b", "1", "--c=-2e5", "--alpha", "0",
+        "--beta", "1", "--class", "star", "--mode", "lemma"])
+    assert code == 0
+    assert rec["result"]["lemma"] == {
+        "sum": math.inf, "tail_bound": 0.0, "threshold": 2.0,
+        "holds": False, "margin": -math.inf, "status": "fails",
+    }
+    code = main(["scan", "--b", "1", "--c=-2e5", "--p-range", "0,3",
+                 "--alpha-range", "0,0.5", "--beta-range", "0.5,1",
+                 "--class", "convex", "--steps", "3,2,2"])
+    assert code == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 12
+    assert all(r[4] == "fails" for r in rows)
+
+
 def test_check_alpha_out_of_range(capsys):
     code = main(["check", "--p", "1", "--b", "1", "--c", "-1",
                  "--alpha", "1", "--beta", "1", "--class", "star"])
@@ -236,7 +256,7 @@ def test_check_inconsistency_exits_3(capsys, monkeypatch):
     # force the lemma layer to contradict a passing theorem
     fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, holds=False,
                      margin=-97.0, status=SumStatus.FAILS)
-    monkeypatch.setattr(cli, "starlike_sum", lambda *a, **k: fake)
+    monkeypatch.setattr(cli, "sum_reports", lambda params, classes, **k: [fake] * len(classes))
     code = main(["check", "--p", "10", "--b", "1", "--c", "-0.1",
                  "--alpha", "0", "--beta", "1", "--class", "star"])
     assert code == 3
@@ -267,9 +287,9 @@ CHECK_PARAMS = [
 CHECK_CLASSES = [(0.0, 1.0), (0.5, 0.5), (0.9, 0.05)]
 PINNED_CHECKS = {
     "theorem": "4cd13b791d0183b0ded540c0de1263cf14c7c60c10b042704930f9c37cd61f56",
-    "lemma": "42202bfd3b4ae1cf53cdde8769837f791a5c2f05c902160b6c990b390620d360",
+    "lemma": "8304edee39455a1ee734d96734da732df992e4d49a27f51c3059919b5e28f9bb",
     "disk": "e499fdc31c85755658b0fadd41ab35ca8782ef64591115ee3e4d5494310388c5",
-    "all": "e9d053d82ea0cadf8526d28ddedb4efd70f821d0737ff5cd043b8788536af65f",
+    "all": "34e5c956fdc04c6af33a007ed2b855453da4d0412eb19d3977f300d9f657befb",
 }
 
 
@@ -531,6 +551,27 @@ def test_beta1_scan_runs_one_real_axis_pass_per_order(capsys, monkeypatch):
         assert len(calls) == len(set(calls)) == 30
 
 
+def test_scan_runs_one_sum_pass_per_order(capsys, monkeypatch):
+    # the coefficient sums of the rows of one p share one kernel pass: 30
+    # calls from the sum layer for 30 x 3 x 1 rows, in either class
+    calls = []
+    real = criteria._coefficients
+
+    def counting(q, x, eps, rho, weight):
+        calls.append(q)
+        return real(q, x, eps, rho, weight)
+
+    monkeypatch.setattr(criteria, "_coefficients", counting)
+    for klass in ("star", "convex"):
+        calls.clear()
+        code = main(["scan", "--b", "1", "--c", "1", "--p-range=-0.9,20",
+                     "--alpha-range", "0,0.5", "--beta-range", "1,1",
+                     "--class", klass, "--steps", "30,3,1"])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 90
+        assert len(calls) == len(set(calls)) == 30
+
+
 # SHA-256 of the whole scan CSV.  A deliberate change to scan output
 # re-pins these hashes, with a note in CHANGES.md saying why the bytes moved;
 # the test ids name the class, so a re-pin keeps the test names.
@@ -577,7 +618,7 @@ def test_scan_inconsistency_exits_3(capsys, monkeypatch):
     # the same forced contradiction as for check: exit 3, CSV still printed
     fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, holds=False,
                      margin=-97.0, status=SumStatus.FAILS)
-    monkeypatch.setattr(cli, "starlike_sum", lambda *a, **k: fake)
+    monkeypatch.setattr(cli, "sum_reports", lambda params, classes, **k: [fake] * len(classes))
     code = main(["scan", "--b", "1", "--c", "-0.1", "--p-range", "10,10",
                  "--alpha-range", "0,0", "--beta-range", "1,1",
                  "--class", "star", "--steps", "1"])

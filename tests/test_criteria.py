@@ -15,7 +15,10 @@ from besselgeom import (
     convex_sum,
     starlike_sum,
     starlike_sum_closed_form,
+    sum_reports,
 )
+from besselgeom import bessel, criteria
+from besselgeom.criteria import DEFAULT_EPS
 from conftest import ref_coeff, ref_weighted_sum
 
 # 2 (I0(2) - 1): the starlike sum of the modified kind at p = 1, alpha = 0,
@@ -87,11 +90,62 @@ def test_report_fields_consistent(rng):
 
 
 def test_no_convergence_cap():
-    # |c| = 1e9 needs about 4.5e4 terms before the majorant ratio drops to 1/2,
-    # far past the 10,000-term cap
+    # |c| = 1e9 would need about 4.5e4 terms before the majorant ratio drops
+    # to 1/2, far past the 10,000-term cap, but m_k overflows long before:
+    # every term is nonnegative, so the sum certainly fails
     params = BesselParams(0.0, 1.0, -1e9)
-    with pytest.raises(NoConvergenceError):
-        starlike_sum(params, ClassSpec(0.0, 1.0))
+    for crit in (starlike_sum, convex_sum):
+        rep = crit(params, ClassSpec(0.0, 1.0))
+        assert rep.status is SumStatus.FAILS
+        assert (rep.sum, rep.tail_bound, rep.margin) == (math.inf, 0.0, -math.inf)
+
+
+@pytest.mark.parametrize("c", [-1.3e5, 2e5])
+def test_overflowing_sum_fails_at_once(monkeypatch, c):
+    # m_k is inf from k = 298 at |c| = 1.3e5: the kernel stops there instead
+    # of running to its 10,000-term cap
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return k - 1.0
+
+    monkeypatch.setattr(criteria, "_star_weight", counting)
+    reps = sum_reports(BesselParams(0.5, 1.0, c), [ClassSpec(0.0, 1.0), ClassSpec(0.9, 0.05)],
+                       False)
+    assert max(calls) < 1000
+    for rep in reps:
+        assert rep.status is SumStatus.FAILS and not rep.holds
+        assert (rep.sum, rep.tail_bound, rep.margin) == (math.inf, 0.0, -math.inf)
+
+
+def test_overflowing_weighted_sum_fails():
+    # at |c| = 1.25e5 every m_k is finite but the convex terms k (k-1) m_k
+    # overflow: the kernel's tail bound stands, and the sum is inf
+    params = BesselParams(0.5, 1.0, -1.25e5)
+    assert starlike_sum(params, ClassSpec(0.0, 1.0)).sum < math.inf
+    rep = convex_sum(params, ClassSpec(0.0, 1.0))
+    assert rep.status is SumStatus.FAILS
+    assert rep.sum == math.inf and rep.margin == -math.inf
+    assert 0.0 < rep.tail_bound < DEFAULT_EPS
+
+
+def test_cap_message_quotes_callers_eps(monkeypatch):
+    # the kernel runs at eps / 4; a capped run still names the eps asked for
+    monkeypatch.setattr(bessel, "MAX_TERMS", 20)
+    with pytest.raises(NoConvergenceError, match=r"tail bound 0\.001 not certified"):
+        starlike_sum(BesselParams(1.0, 1.0, -1000.0), ClassSpec(0.0, 1.0), eps=1e-3)
+
+
+def test_smallest_eps_still_stops():
+    # eps / 4 underflows to 0 for the smallest double: the kernel still stops
+    # once the terms underflow to 0, and the tail bound is 0 < eps
+    params, cls = BesselParams(1.0, 1.0, -1.0), ClassSpec(0.3, 0.5)
+    default = starlike_sum(params, cls)
+    for eps in (5e-324, 1.5e-323):
+        rep = starlike_sum(params, cls, eps=eps)
+        assert rep.tail_bound < eps
+        assert abs(rep.sum - default.sum) <= default.tail_bound + 4 * math.ulp(default.sum)
 
 
 def test_zero_c_trivial():
@@ -191,3 +245,29 @@ def test_trichotomy_property(q, c, alpha, beta):
     else:
         assert not rep.holds
     assert rep.margin == cls.threshold - rep.sum
+
+
+CLASSES = st.builds(ClassSpec, st.floats(0.0, 0.99), st.floats(0.01, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.floats(0.01, 20.0),
+    b=st.floats(0.0, 3.0),
+    c=st.floats(-30.0, 30.0),
+    classes=st.lists(CLASSES, min_size=1, max_size=6),
+    convex=st.booleans(),
+)
+def test_sum_reports_share_one_pass(q, b, c, classes, convex):
+    # one coefficient pass for all classes gives each class exactly its
+    # one-class report, with a tail bound below eps and the reference sum
+    # within tail bound plus the rounding of n terms
+    params = BesselParams(q - (b + 1.0) / 2.0, b, c)
+    reps = sum_reports(params, classes, convex)
+    assert len(reps) == len(classes)
+    one = convex_sum if convex else starlike_sum
+    for cls, rep in zip(classes, reps):
+        assert rep == sum_reports(params, [cls], convex)[0] == one(params, cls)
+        assert rep.tail_bound < DEFAULT_EPS
+        want = ref_weighted_sum(params.p, b, c, cls.alpha, cls.beta, convex)
+        assert abs(rep.sum - want) <= rep.tail_bound + 80 * 2.0**-52 * rep.sum

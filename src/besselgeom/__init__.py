@@ -6,8 +6,8 @@ The package evaluates the normalized series
 
 decides membership in the starlike and convex families S*(alpha, beta) and
 K(alpha, beta) through three independent layers (closed-form sufficient
-conditions, weighted coefficient sums, the sup over the unit disk: exact on
-the real axis for beta = 1, sampled for beta < 1), locates
+conditions, weighted coefficient sums, the exact sup over the unit disk from
+one point on the real axis), locates
 the positivity thresholds of the specialized condition functions, and
 exposes everything through the besselgeom command-line tool.
 """
@@ -46,8 +46,6 @@ from .criteria import (
     sum_reports,
 )
 from .disk import (
-    DEFAULT_GRID,
-    DiskGrid,
     QuotientKind,
     SupEstimate,
     sup_estimate,
@@ -85,9 +83,7 @@ __all__ = [
     "ClassSpec",
     "ConditionVerdict",
     "CriterionId",
-    "DEFAULT_GRID",
     "DISAGREEING_CRITERIA",
-    "DiskGrid",
     "DomainError",
     "FIGURES",
     "FigureSpec",

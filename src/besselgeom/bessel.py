@@ -284,8 +284,17 @@ def eval_u_derivatives(
     # The kernel runs on x = -c z at radius 1, so its entries are the terms
     # t_k = a_k z^(k-1) themselves: a_k or |z|^k alone can overflow (or a_k
     # underflow) where t_k is finite.  The floor lets a subnormal |z|, where
-    # every discarded term is 0, stop.
-    t, _, bound = _coefficients(q, -c * z, max(eps * az, _TINY), 1.0, _u2_weight)
+    # every discarded term is 0, stop.  A failure quotes the caller's eps.
+    try:
+        t, _, bound = _coefficients(q, -c * z, max(eps * az, _TINY), 1.0, _u2_weight)
+    except SeriesOverflowError:
+        raise SeriesOverflowError(
+            f"the terms overflow, so tail bound {eps!r} cannot be certified"
+        ) from None
+    except NoConvergenceError:
+        raise NoConvergenceError(
+            f"tail bound {eps!r} not certified within {MAX_TERMS} terms"
+        ) from None
     n = len(t) - 1  # K: t_1 .. t_K are summed, t_(K+1) is the first discarded
 
     # three compensated (Kahan) sums in one pass; _kahan_sum on a generator

@@ -48,7 +48,7 @@ import numpy as np
 from .bessel import BesselParams, SeriesValue, eval_u_derivatives, eval_w
 from .conditions import ConditionVerdict, Variant, convex_condition, starlike_condition
 from .criteria import ClassSpec, SumReport, SumStatus, sum_reports
-from .disk import DEFAULT_GRID, QuotientKind, SupEstimate, sup_estimate, sup_estimates
+from .disk import QuotientKind, SupEstimate, sup_estimate, sup_estimates
 from .errors import BesselGeomError, DomainError
 from .thresholds import (
     FIGURES,
@@ -354,7 +354,7 @@ def check_record(
         rep = sums(params, [cls])[0]
         result["lemma"] = _sum_report(rep)
     if mode in ("disk", "all"):
-        est = sup_estimate(params, cls, kind, DEFAULT_GRID)
+        est = sup_estimate(params, cls, kind)
         result["disk"] = _sup(est)
     # The printed variant binds the theorem only for c <= 0, where it
     # coincides with the derived one.
@@ -426,7 +426,7 @@ def scan_record(
         params = BesselParams(p, b, c)
         thms = [cond(params, cls) for cls in classes]
         reps = sums(params, classes)
-        ests = sup_estimates(params, classes, kind, DEFAULT_GRID)
+        ests = sup_estimates(params, classes, kind)
         for (a, bt), thm, rep, est in zip(pairs, thms, reps, ests):
             consistent &= _consistent(thm, rep, est)
             rows.append({

@@ -2,8 +2,9 @@
 
 Every oracle here is structurally independent of the package: coefficients
 come from explicit Pochhammer products and math.factorial, sums go through
-math.fsum (exact up to one final rounding), and nothing reuses the package's
-ratio recurrences or Kahan loops.
+math.fsum (exact up to one final rounding), the disk quotients come from
+scipy's 0F1 on polar rings, and nothing reuses the package's ratio
+recurrences, continued fraction or Kahan loops.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+import scipy.special as sp
 
 from besselgeom import BesselParams
 
@@ -61,6 +64,42 @@ def ref_weighted_sum(
             w *= k
         terms.append(w * abs(ref_coeff(p, b, c, k)))
     return math.fsum(terms)
+
+
+RING_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999)
+RING_ANGLES = 720
+RING_GUARD = 1e-14
+
+
+def ring_max(
+    p: float, b: float, c: float, alpha: float, convex: bool,
+    radii: tuple[float, ...] = RING_RADII, angles: int = RING_ANGLES,
+) -> float:
+    """Largest |n / (n + 2 (1 - alpha))| over polar rings inside the unit disk.
+
+    n = z u'/u - 1 (starlike) or z u''/u' (convex), from u(z) = z F_q(-c z)
+    with F_q = 0F1(;q;.): z u'/u - 1 = -c z F_(q+1) / (q F_q) and
+    u'' = 2 (-c / q) F_(q+1) + z c^2 / (q (q + 1)) F_(q+2).  Points where
+    |f / z| (|u / z| or |u'|) or the denominator is at most RING_GUARD are
+    skipped.  Every sampled point lies inside the disk, so the result is a
+    lower bound of the quotient's sup there (0.0 when every point is skipped).
+    """
+    q = p + (b + 1.0) / 2.0
+    theta = np.arange(angles) * (2.0 * np.pi / angles)
+    zs = np.concatenate([r * np.exp(1j * theta) for r in radii])
+    f0, f1 = sp.hyp0f1(q, -c * zs), sp.hyp0f1(q + 1.0, -c * zs)
+    with np.errstate(all="ignore"):
+        if convex:
+            first = f0 + zs * (-c / q) * f1  # u'
+            upp = 2.0 * (-c / q) * f1 + zs * (c * c / (q * (q + 1.0))) * sp.hyp0f1(q + 2.0, -c * zs)
+            n = zs * upp / first
+        else:
+            first = f0  # u / z
+            n = -c * zs * f1 / (q * f0)
+        den = n + 2.0 * (1.0 - alpha)
+        quot = np.abs(n / den)
+    valid = (np.abs(first) > RING_GUARD) & (np.abs(den) > RING_GUARD) & np.isfinite(quot)
+    return float(np.max(quot[valid])) if valid.any() else 0.0
 
 
 def draw_chain_inputs(rng: random.Random) -> tuple[BesselParams, float, float]:

@@ -16,7 +16,6 @@ from besselgeom import (
     BesselKind,
     BesselParams,
     ClassSpec,
-    DiskGrid,
     NoBracketError,
     QuotientKind,
     SingularityError,
@@ -34,8 +33,6 @@ from besselgeom import (
     starlike_sum_closed_form,
     sup_estimate,
 )
-from besselgeom import disk
-from besselgeom.disk import GUARD
 from conftest import draw_chain_inputs, ref_coeff, ref_u_derivs
 from test_bessel import ode_residual
 
@@ -104,24 +101,22 @@ def test_04_duality():
         assert abs(got - want) < 1e-12, (params, cls)
 
     # quotient level: the convex quotient of u is the starlike quotient of
-    # g = z u'.  The disk layer's grid evaluator (the one beta < 1 classes
-    # run) must give as the convex maximum on a small grid the maximum of the
-    # starlike quotient of g, evaluated through an independent series for
-    # z u', over the points neither side guards.
+    # g = z u'.  The disk layer's convex sup, which it takes at z = sign(c),
+    # must equal the starlike quotient of g there, evaluated through an
+    # independent series for z u'.
+    checked = 0
     for _ in range(40):
         params, alpha, beta = draw_chain_inputs(rng)
-        grid = DiskGrid(radii=(rng.uniform(0.05, 0.5), rng.uniform(0.5, 0.95)),
-                        angles_per_ring=12)
-        got = disk._grid_estimates(params, [ClassSpec(alpha, beta)], QuotientKind.CONVEX, grid)[0]
-        want = 0.0
-        for z in grid.points().tolist():
-            _, up, upp = ref_u_derivs(params.p, params.b, params.c, z)
-            if abs(up) <= GUARD:
-                continue
-            w_g = 1.0 + z * upp / up  # z g'/g for g = z u'
-            if abs(w_g + 1.0 - 2.0 * alpha) > GUARD:
-                want = max(want, abs((w_g - 1.0) / (w_g + 1.0 - 2.0 * alpha)))
-        assert abs(got.max_quotient - want) < 1e-10, (params, alpha)
+        got = sup_estimate(params, ClassSpec(alpha, beta), QuotientKind.CONVEX).max_quotient
+        if got == math.inf:  # a pole of the quotient in the closed disk
+            continue
+        z = -1.0 if params.c < 0.0 else 1.0
+        _, up, upp = ref_u_derivs(params.p, params.b, params.c, z)
+        w_g = 1.0 + z * upp / up  # z g'/g for g = z u'
+        want = abs((w_g - 1.0) / (w_g + 1.0 - 2.0 * alpha))
+        assert abs(got - want) < 1e-10 * max(1.0, want), (params, alpha)
+        checked += 1
+    assert checked >= 20
 
 
 def test_05_corollary_consistency_audit():

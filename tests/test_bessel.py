@@ -277,8 +277,12 @@ def test_eval_domain_errors():
 def test_no_convergence_cap():
     # |c| = 1e9 at |z| = 4 needs about 9e4 terms, far past the 10,000-term cap
     params = BesselParams(0.0, 1.0, -1e9)
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NoConvergenceError, match="1e-13"):
         eval_u(params, 4.0, eps=1e-13)
+    # q = -20000: the stop rule waits for q + k > 0, past the cap, with no
+    # term overflowing; the message quotes eps, not the kernel's eps |z|
+    with pytest.raises(NoConvergenceError, match="tail bound 1e-13 not certified"):
+        eval_u(BesselParams(-20000.25, 1.0, 1e-6), 0.5, eps=1e-13)
 
 
 
@@ -295,7 +299,8 @@ def test_overflowing_terms_stop_at_once():
         _coefficients(1.0, 4e9, 1e-13, 1.0, weight)
     assert max(steps) < 100  # a_k is inf from k = 44 on
     assert issubclass(SeriesOverflowError, NoConvergenceError)
-    with pytest.raises(SeriesOverflowError):
+    # the message quotes the caller's eps, not the kernel's eps |z| = 4e-13
+    with pytest.raises(SeriesOverflowError, match="overflow.*tail bound 1e-13 "):
         eval_u(BesselParams(0.0, 1.0, -1e9), 4.0, eps=1e-13)
 
 

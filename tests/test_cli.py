@@ -165,8 +165,9 @@ def test_check_disk_refuses_nonpositive_q(capsys):
 
 
 def test_check_convex_zero_inside_first_ring(capsys):
-    # u' vanishes at z = 0.0518, inside the grid's first ring: sampling read
-    # violations 0 and max_quotient 0.5004 for this non-convex function
+    # u' vanishes at z = 0.0518, inside the first ring of a 12-ring sampling
+    # grid, which read violations 0 and max_quotient 0.5004 for this
+    # non-convex function
     code, rec = run_json(capsys, [
         "check", "--p=-0.9", "--b", "1", "--c", "1", "--alpha", "0",
         "--beta", "1", "--class", "convex", "--mode", "all"])
@@ -176,6 +177,21 @@ def test_check_convex_zero_inside_first_ring(capsys):
     assert disk_rec["violations"] == 1
     assert disk_rec["argmax"] == {"re": 1.0, "im": 0.0}
     assert rec["result"]["consistent"]  # the theorem and the lemma fail too
+
+
+def test_check_beta_below_1_false_membership(capsys):
+    # the 12-ring grid read max_quotient 0.9056390717340785 at z = 0.999 with
+    # violations 0 for this non-member; the exact sup at z = 1 exceeds beta
+    code, rec = run_json(capsys, [
+        "check", "--p=-0.7760812953581148", "--b", "1", "--c", "0.1036127991657812",
+        "--alpha", "0.19897086576962877", "--beta", "0.9078856454907038",
+        "--class", "star", "--mode", "disk"])
+    assert code == 0
+    assert rec["result"]["disk"] == {
+        "max_quotient": 0.908536345275895, "argmax": {"re": 1.0, "im": 0.0},
+        "violations": 1, "degenerate_points": 0,
+    }
+    assert rec["result"]["consistent"]
 
 
 def test_check_starlike_overflow_gives_verdict(capsys):
@@ -288,8 +304,8 @@ CHECK_CLASSES = [(0.0, 1.0), (0.5, 0.5), (0.9, 0.05)]
 PINNED_CHECKS = {
     "theorem": "4cd13b791d0183b0ded540c0de1263cf14c7c60c10b042704930f9c37cd61f56",
     "lemma": "8304edee39455a1ee734d96734da732df992e4d49a27f51c3059919b5e28f9bb",
-    "disk": "e499fdc31c85755658b0fadd41ab35ca8782ef64591115ee3e4d5494310388c5",
-    "all": "34e5c956fdc04c6af33a007ed2b855453da4d0412eb19d3977f300d9f657befb",
+    "disk": "35c88c9b0869fbb9f935151221d6a0bd6706e465c977999245f84c31a75e7a56",
+    "all": "66bf8d37ce42b8456de8324bea0071fe5f6fe8c636926a8b95795f7342f340df",
 }
 
 
@@ -504,30 +520,9 @@ def test_scan_parallel_identical(capsys):
     assert serial == parallel
 
 
-def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
-    # the rows of one p share the disk series: 30 builds for 30 x 3 x 2 rows,
-    # whose beta = 0.5 rows are sampled (c = -0.1 leaves every order free of
-    # a pole of the quotient, which would decide its rows without the grid)
-    builds = []
-    real = disk._coefficients
-
-    def counting(q, x, eps, rho, weight):
-        builds.append(q)
-        return real(q, x, eps, rho, weight)
-
-    monkeypatch.setattr(disk, "_coefficients", counting)
-    code = main(["scan", "--b", "1", "--c=-0.1", "--p-range", "0,3",
-                 "--alpha-range", "0,0.5", "--beta-range", "0.5,1",
-                 "--class", "convex", "--steps", "30,3,2"])
-    assert code == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 180
-    assert len(builds) == 30
-    assert len(set(builds)) == 30
-
-
 def test_beta1_scan_runs_one_real_axis_pass_per_order(capsys, monkeypatch):
-    # beta = 1 rows are decided at z = sign(c): one continued fraction per
-    # order p, and the grid is never built or evaluated
+    # every row, beta = 1 or not, is decided at z = sign(c): one continued
+    # fraction per order p for 30 x 3 x 2 rows
     calls = []
     real = disk._real_axis
 
@@ -535,19 +530,14 @@ def test_beta1_scan_runs_one_real_axis_pass_per_order(capsys, monkeypatch):
         calls.append(q)
         return real(q, s, which)
 
-    def forbidden(*args):
-        raise AssertionError("the grid ran for a beta = 1 scan")
-
     monkeypatch.setattr(disk, "_real_axis", counting)
-    monkeypatch.setattr(disk, "_half_rings", forbidden)
-    monkeypatch.setattr(disk, "_horner", forbidden)
     for klass in ("star", "convex"):
         calls.clear()
         code = main(["scan", "--b", "1", "--c", "1", "--p-range=-0.9,20",
-                     "--alpha-range", "0,0.5", "--beta-range", "1,1",
-                     "--class", klass, "--steps", "30,3,1"])
+                     "--alpha-range", "0,0.5", "--beta-range", "0.5,1",
+                     "--class", klass, "--steps", "30,3,2"])
         assert code == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 90
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 180
         assert len(calls) == len(set(calls)) == 30
 
 

@@ -520,6 +520,27 @@ def test_scan_parallel_identical(capsys):
     assert serial == parallel
 
 
+def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
+    # the rows of one p share the disk verdict's one continued fraction at
+    # z = sign(c): 30 passes for 30 x 3 x 2 rows at negative c, whose
+    # beta = 0.5 rows no longer reach a grid
+    calls = []
+    real = disk._real_axis
+
+    def counting(q, s, which):
+        calls.append(q)
+        return real(q, s, which)
+
+    monkeypatch.setattr(disk, "_real_axis", counting)
+    code = main(["scan", "--b", "1", "--c=-0.1", "--p-range", "0,3",
+                 "--alpha-range", "0,0.5", "--beta-range", "0.5,1",
+                 "--class", "convex", "--steps", "30,3,2"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 180
+    assert len(calls) == 30
+    assert len(set(calls)) == 30
+
+
 def test_beta1_scan_runs_one_real_axis_pass_per_order(capsys, monkeypatch):
     # every row, beta = 1 or not, is decided at z = sign(c): one continued
     # fraction per order p for 30 x 3 x 2 rows

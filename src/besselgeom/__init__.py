@@ -47,7 +47,6 @@ from .criteria import (
 )
 from .disk import (
     QuotientKind,
-    SupEstimate,
     sup_estimate,
     sup_estimates,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "SingularityError",
     "SumReport",
     "SumStatus",
-    "SupEstimate",
     "Variant",
     "coefficient",
     "consistency_audit",

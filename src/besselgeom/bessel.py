@@ -19,16 +19,15 @@ and (b, c) = (2, 1) gives 2/sqrt(pi) times the spherical function j_p in
 its conventional normalization.
 
 One private kernel, _coefficients, produces the coefficients a_k of u by
-their ratio recurrence and decides where to truncate, for every layer of
-the package: the series evaluations here (which run it on the terms
-a_k z^(k-1), so that a_k and |z|^k never have to be finite on their own),
-the weighted coefficient sums of criteria and the coefficient array of the
-disk layer.  Each caller gives a weight w(k) and a radius rho; the kernel
-stops only once the discarded terms w(k) |a_k| rho^(k-1) are dominated by
-a geometric series with ratio r <= 1/2, and |first discarded term| /
-(1 - r) bounds them.  So every SeriesValue carries a tail bound that is
-valid by construction.  Accumulation is compensated (Kahan), so the
-returned values are accurate to a few ulps.
+their ratio recurrence and decides where to truncate, for the series
+evaluations here (which run it on the terms a_k z^(k-1), so that a_k and
+|z|^k never have to be finite on their own) and the weighted coefficient
+sums of criteria.  Each caller gives a weight w(k); the kernel stops only
+once the discarded terms w(k) |a_k| are dominated by a geometric series
+with ratio r <= 1/2, and |first discarded term| / (1 - r) bounds them.
+So every SeriesValue carries a tail bound that is valid by construction.
+coefficient runs the same recurrence without the stop rule.  Accumulation
+is compensated (Kahan), so the returned values are accurate to a few ulps.
 """
 
 from __future__ import annotations
@@ -157,10 +156,8 @@ def _u2_weight(k: int) -> float:
     return k * (k - 1.0)
 
 
-def _coefficients(
-    q: float, x: complex | float, eps: float, rho: float, weight, terms: int = 0
-):
-    """a_1..a_(K+1) of the ratio recurrence, the majorant ratio r and the tail bound.
+def _coefficients(q: float, x: complex | float, eps: float, weight):
+    """a_1..a_(K+1) of the ratio recurrence and the tail bound past a_K.
 
     The recurrence is a_1 = 1, a_(k+1) = a_k x / ((q + (k - 1)) k); with
     x = -c it gives the Taylor coefficients a_k = (-c)^(k-1) / ((q)_(k-1)
@@ -172,58 +169,59 @@ def _coefficients(
     This is the one stop rule of the package.  K is the first index above
     MIN_TERMS with q + K > 0 at which
 
-        r = |x| rho w(K+2) / ((q + K) (K + 1) w(K+1))  <=  1/2   and
-        bound = w(K+1) |a_(K+1)| rho^K / (1 - r)        <   eps.
+        r = |x| w(K+2) / ((q + K) (K + 1) w(K+1))  <=  1/2   and
+        bound = w(K+1) |a_(K+1)| / (1 - r)          <   eps.
 
-    Once q + k > 0 the term ratios |x| rho / ((q + k) (k + 1)) fall with k,
+    Once q + k > 0 the term ratios |x| / ((q + k) (k + 1)) fall with k,
     and so do the weight ratios w(k+1) / w(k) of every weight used here, so
-    the discarded terms w(k) |a_k| rho^(k-1), k > K, are dominated by a
-    geometric series of ratio r and sum to at most bound.  a_(K+1), the
-    first discarded coefficient, is the last entry of the list.  Raises
+    the discarded terms w(k) |a_k|, k > K, are dominated by a geometric
+    series of ratio r and sum to at most bound.  a_(K+1), the first
+    discarded coefficient, is the last entry of the list.  Raises
     NoConvergenceError when no K <= MAX_TERMS qualifies, and its subclass
     SeriesOverflowError at once at the first index past MIN_TERMS with
     q + k > 0 whose coefficient is inf or nan: a non-finite a_k stays
     non-finite, so no later bound could fall below eps.
-
-    terms > 0 turns the stop rule off, for coefficient: the list is then
-    exactly a_1..a_terms, r and bound are 0, and eps, rho and weight are
-    not read.  coefficient shares this loop rather than a separate
-    generator of the a_k because the stop rule, which runs once per term,
-    drawing them from such a generator ran about 1.5x slower.
     """
     a = [1.0]
     ak = 1.0
-    scale = abs(x) * rho
-    rho_k = rho  # rho^k by repeated products, which saturate instead of raising
-    for k in range(1, terms or MAX_TERMS + 1):
+    scale = abs(x)
+    for k in range(1, MAX_TERMS + 1):
         denom = (q + (k - 1.0)) * k
         if denom == 0.0:
             raise PoleError(f"(q)_{k} vanishes for q = {q!r}")
         ak = ak * x / denom
         a.append(ak)  # a_1 .. a_(k+1)
-        if not terms and k > MIN_TERMS and q + k > 0.0:
+        if k > MIN_TERMS and q + k > 0.0:
             if not abs(ak) < _INF:
                 raise SeriesOverflowError(
                     f"term {k + 1} overflows, so tail bound {eps!r} cannot be certified"
                 )
             r = scale / ((q + k) * (k + 1.0)) * (weight(k + 2) / weight(k + 1))
             if r <= 0.5:
-                bound = abs(weight(k + 1) * ak) * rho_k / (1.0 - r)
+                bound = abs(weight(k + 1) * ak) / (1.0 - r)
                 if bound < eps:
-                    return a, r, bound
-        rho_k *= rho
-    if terms:
-        return a, 0.0, 0.0
+                    return a, bound
     raise NoConvergenceError(f"tail bound {eps!r} not certified within {MAX_TERMS} terms")
 
 
 def coefficient(params: BesselParams, k: int) -> float:
-    """Taylor coefficient a_k of u: a_1 = 1, a_k = (-c)^(k-1) / ((q)_(k-1) (k-1)!)."""
+    """Taylor coefficient a_k of u: a_1 = 1, a_k = (-c)^(k-1) / ((q)_(k-1) (k-1)!).
+
+    The same operations as the recurrence of _coefficients at x = -c, so
+    a_k is bit for bit the kernel's entry k.
+    """
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError(f"k must be an int, got {k!r}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    return _coefficients(params.q, -params.c, 0.0, 1.0, None, terms=k)[0][-1]
+    q, x = params.q, -params.c
+    a = 1.0
+    for j in range(1, k):
+        denom = (q + (j - 1.0)) * j
+        if denom == 0.0:
+            raise PoleError(f"(q)_{j} vanishes for q = {q!r}")
+        a = a * x / denom
+    return a
 
 
 def _kahan_sum(terms):
@@ -258,13 +256,13 @@ def eval_u_derivatives(
 
     With t_k = a_k z^(k-1), u = sum_k t_k z, u' = sum_k k t_k and
     u'' = sum_k k (k-1) t_k / z are summed over the kernel's t_1..t_K.  The
-    kernel runs on x = -c z at radius 1 with the u'' weight k (k-1), whose
-    majorant ratio also dominates the term ratios of u and u', and with
-    eps |z|: it bounds sum_(k>K) k (k-1) |t_k|, which is |z| times the u''
-    tail, so every lane's tail is below eps.  u'(0) = 1 and
-    u''(0) = 2 (-c) / q exactly.  Where |c z| is below the smallest normal
-    double, t_2 = -c z / q has lost bits to underflow, so the u'' lane takes
-    its k = 2 term 2 t_2 / z as 2 (-c) / q.
+    kernel runs on x = -c z with the u'' weight k (k-1), whose majorant
+    ratio also dominates the term ratios of u and u', and with eps |z|: it
+    bounds sum_(k>K) k (k-1) |t_k|, which is |z| times the u'' tail, so
+    every lane's tail is below eps.  u'(0) = 1 and u''(0) = 2 (-c) / q
+    exactly.  Where |c z| is below the smallest normal double, t_2 = -c z / q
+    has lost bits to underflow, so the u'' lane takes its k = 2 term
+    2 t_2 / z as 2 (-c) / q.
     """
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
@@ -281,12 +279,12 @@ def eval_u_derivatives(
         second = (2.0 * (-c) / q) * one
         return SeriesValue(zero, 2, 0.0), SeriesValue(one, 2, 0.0), SeriesValue(second, 2, 0.0)
 
-    # The kernel runs on x = -c z at radius 1, so its entries are the terms
+    # The kernel runs on x = -c z, so its entries are the terms
     # t_k = a_k z^(k-1) themselves: a_k or |z|^k alone can overflow (or a_k
     # underflow) where t_k is finite.  The floor lets a subnormal |z|, where
     # every discarded term is 0, stop.  A failure quotes the caller's eps.
     try:
-        t, _, bound = _coefficients(q, -c * z, max(eps * az, _TINY), 1.0, _u2_weight)
+        t, bound = _coefficients(q, -c * z, max(eps * az, _TINY), _u2_weight)
     except SeriesOverflowError:
         raise SeriesOverflowError(
             f"the terms overflow, so tail bound {eps!r} cannot be certified"

@@ -48,10 +48,11 @@ import numpy as np
 from .bessel import BesselParams, SeriesValue, eval_u_derivatives, eval_w
 from .conditions import ConditionVerdict, Variant, convex_condition, starlike_condition
 from .criteria import ClassSpec, SumReport, SumStatus, sum_reports
-from .disk import QuotientKind, SupEstimate, sup_estimate, sup_estimates
+from .disk import QuotientKind, sup_estimate, sup_estimates
 from .errors import BesselGeomError, DomainError
 from .thresholds import (
     FIGURES,
+    MAX_GRID_POINTS,
     RootResult,
     _spec,
     figure_eval,
@@ -60,7 +61,7 @@ from .thresholds import (
     sample_grid,
 )
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "1.2"
 
 # The layers `check --mode` runs: one of them, or all three.
 CHECK_MODES = ("lemma", "theorem", "disk", "all")
@@ -119,15 +120,6 @@ def _root(r: RootResult) -> dict:
         "bracket": list(r.bracket),
         "iterations": r.iterations,
         "residual": r.residual,
-    }
-
-
-def _sup(e: SupEstimate) -> dict:
-    return {
-        "max_quotient": e.max_quotient,
-        "argmax": _cnum(e.argmax_z),
-        "violations": e.violations,
-        "degenerate_points": e.degenerate_points,
     }
 
 
@@ -307,14 +299,14 @@ def _layers(klass: str) -> tuple:
 
 
 def _consistent(
-    thm: ConditionVerdict | None, rep: SumReport | None, est: SupEstimate | None
+    thm: ConditionVerdict | None, rep: SumReport | None, sup: float | None, beta: float
 ) -> bool:
-    """The chain theorem => lemma => no disk violation; a layer that did not run is None."""
+    """The chain theorem => lemma => sup <= beta; a layer that did not run is None."""
     if rep is None:  # both links pass through the lemma
         return True
     if thm is not None and thm.holds and rep.status is SumStatus.FAILS:
         return False
-    return est is None or est.violations == 0 or rep.status is not SumStatus.HOLDS
+    return sup is None or sup <= beta or rep.status is not SumStatus.HOLDS
 
 
 def eval_record(p: float, b: float, c: float, z: complex, eps: float, want_w: bool) -> dict:
@@ -345,7 +337,7 @@ def check_record(
     cls = ClassSpec(alpha, beta)
     var = Variant(variant)
     cond, sums, kind = _layers(klass)
-    thm = rep = est = None
+    thm = rep = sup = None
     result: dict = {}
     if mode in ("theorem", "all"):
         thm = cond(params, cls, var)
@@ -354,12 +346,12 @@ def check_record(
         rep = sums(params, [cls])[0]
         result["lemma"] = _sum_report(rep)
     if mode in ("disk", "all"):
-        est = sup_estimate(params, cls, kind)
-        result["disk"] = _sup(est)
+        sup = sup_estimate(params, cls, kind)
+        result["disk"] = {"max_quotient": sup}
     # The printed variant binds the theorem only for c <= 0, where it
     # coincides with the derived one.
     binding = var is Variant.DERIVED or c <= 0.0
-    result["consistent"] = _consistent(thm if binding else None, rep, est)
+    result["consistent"] = _consistent(thm if binding else None, rep, sup, beta)
     inputs = {
         "p": p, "b": b, "c": c, "alpha": alpha, "beta": beta,
         "class": klass, "mode": mode, "variant": variant,
@@ -413,6 +405,11 @@ def scan_record(
     steps: tuple[int, int, int],
 ) -> dict:
     cond, sums, kind = _layers(klass)
+    if steps[0] * steps[1] * steps[2] > MAX_GRID_POINTS:
+        raise DomainError(
+            f"scan grid of {steps[0]} x {steps[1]} x {steps[2]} rows has more than "
+            f"{MAX_GRID_POINTS} rows"
+        )
 
     ps = np.linspace(p_range[0], p_range[1], steps[0]).tolist()
     alphas = np.linspace(alpha_range[0], alpha_range[1], steps[1]).tolist()
@@ -426,14 +423,14 @@ def scan_record(
         params = BesselParams(p, b, c)
         thms = [cond(params, cls) for cls in classes]
         reps = sums(params, classes)
-        ests = sup_estimates(params, classes, kind)
-        for (a, bt), thm, rep, est in zip(pairs, thms, reps, ests):
-            consistent &= _consistent(thm, rep, est)
+        sups = sup_estimates(params, classes, kind)
+        for (a, bt), thm, rep, sup in zip(pairs, thms, reps, sups):
+            consistent &= _consistent(thm, rep, sup, bt)
             rows.append({
                 "p": p, "alpha": a, "beta": bt,
                 "theorem": "holds" if thm.holds else "fails",
                 "lemma": rep.status.value,
-                "disk_max": est.max_quotient,
+                "disk_max": sup,
             })
 
     result = {"rows": rows, "consistent": consistent}

@@ -152,7 +152,7 @@ def sum_reports(
     try:
         # eps / 4 underflows to 0, which no bound meets, for eps below 4 ulp(0);
         # the floor still stops the kernel at a bound of 0
-        m, _, bound = _coefficients(params.q, abs(params.c), max(eps / 4.0, _TINY), 1.0, weight)
+        m, bound = _coefficients(params.q, abs(params.c), max(eps / 4.0, _TINY), weight)
     except SeriesOverflowError:  # an overflowing m_k: see the module docstring
         return [_report(math.inf, 0.0, cls) for cls in classes]
     except NoConvergenceError:

@@ -8,7 +8,9 @@ let n = z f'(z) / f(z) - 1; f is in S*(alpha, beta) when
 at every z in the open unit disk, and u is in K(alpha, beta) exactly when
 z u' is in S*(alpha, beta).  So the starlike check takes f = u and the
 convex check f = z u'.  sup_estimates is the only evaluator of the
-quotient's supremum; sup_estimate is its one-class form.
+quotient's supremum; sup_estimate is its one-class form.  Both return the
+bare sup: its point is always z = sign(c), and beta only moves the
+verdict.
 
 The real-axis theorem (q > 0).  u(z) = z F_q(-c z) with F_q = 0F1(;q;.).
 For q > 0 every zero of F_q is real and negative (Hurwitz; Watson, Treatise
@@ -32,9 +34,13 @@ the r -> 1 limit of the value at z = sign(c) r.  A zero of f / z, or a root
 of n + 2 (1 - alpha) on the segment from 0 to sign(c), where n falls from
 0, is a pole of the quotient in the closed disk, so oo is the exact sup
 there.  The sup depends on (params, alpha, which) alone, and comparing it
-with beta decides the class for every beta in (0, 1].  For q <= 0, F_q can
-have complex zeros and the theorem does not apply: the disk layer refuses
-such q with DomainError.
+with beta decides the class for every beta in (0, 1]: f is in the class
+exactly when sup <= beta.  The tie is a member, since the class asks for a
+strict inequality on the open disk: for c != 0, n falls strictly along the
+segment, so the value at z = sign(c) r rises strictly with r and reaches
+the sup only as r -> 1; for c = 0, f = z and the sup is 0.  For q <= 0,
+F_q can have complex zeros and the theorem does not apply: the disk layer
+refuses such q with DomainError.
 
 The real point is one continued fraction.  With x = -|c| and r_m =
 F_(q+m+1)(x) / F_(q+m)(x), the contiguous relation of 0F1 gives the
@@ -60,14 +66,13 @@ as well (u' > 0 at sign(c), by the interlacing); a zero of u at sign(c)
 itself makes d_0 = 0, r = oo and n = -oo.
 
 The package uses these verdicts as the ground-truth end of the implication
-chain: whenever a coefficient criterion holds, the disk layer must find no
-violation.
+chain: whenever a coefficient criterion holds, the sup must not exceed
+beta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -83,21 +88,6 @@ CF_EPS = 2.0 ** -56
 class QuotientKind(Enum):
     STARLIKE = "starlike"
     CONVEX = "convex"
-
-
-@dataclass(frozen=True)
-class SupEstimate:
-    """Exact sup of the quotient over the disk, and where it is reached.
-
-    argmax_z is sign(c) (+1 for c = 0), the point whose r -> 1 limit gives
-    the sup; violations is 1 when max_quotient >= beta and 0 otherwise;
-    degenerate_points is always 0, since no point is skipped.
-    """
-
-    max_quotient: float
-    argmax_z: complex
-    violations: int
-    degenerate_points: int
 
 
 def _fraction(q: float, s: float) -> tuple[float, float, int]:
@@ -149,31 +139,28 @@ def sup_estimates(
     params: BesselParams,
     classes: Sequence[ClassSpec],
     which: QuotientKind,
-) -> list[SupEstimate]:
+) -> list[float]:
     """Exact sup of the chosen quotient over the unit disk, for several classes.
 
     One continued fraction at z = sign(c) decides every class: a pole of the
     quotient in the closed disk (a zero of f / z, or n + 2 (1 - alpha) <= 0
     there) gives sup = inf, and otherwise the sup is |n / (n + 2 (1 - alpha))|
-    at that point, whatever beta (see the module docstring).  Each record has
-    argmax_z = sign(c) (+1 for c = 0), violations = 1 if sup >= beta else 0
-    and degenerate_points = 0.  Raises DomainError for q <= 0, where the
+    at that point, whatever beta (see the module docstring).  A class holds
+    exactly when its sup <= beta.  Raises DomainError for q <= 0, where the
     theorem does not hold.
     """
     q = params.q
     if not q > 0.0:
         raise DomainError(f"the disk layer requires q > 0, got q = {q!r}")
     n = _real_axis(q, abs(params.c), which)
-    argmax = complex(-1.0 if params.c < 0.0 else 1.0)
     out = []
     for cls in classes:
         den = n + 2.0 * (1.0 - cls.alpha)
         # den <= 0: a pole of the quotient in the closed disk, whatever beta
-        sup = abs(n / den) if den > 0.0 else math.inf
-        out.append(SupEstimate(sup, argmax, int(sup >= cls.beta), 0))
+        out.append(abs(n / den) if den > 0.0 else math.inf)
     return out
 
 
-def sup_estimate(params: BesselParams, cls: ClassSpec, which: QuotientKind) -> SupEstimate:
+def sup_estimate(params: BesselParams, cls: ClassSpec, which: QuotientKind) -> float:
     """Exact sup of the chosen quotient for one class; see sup_estimates."""
     return sup_estimates(params, [cls], which)[0]

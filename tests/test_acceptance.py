@@ -74,8 +74,7 @@ def test_03_implication_chain_soundness():
             if verdict.holds:
                 assert report.status is not SumStatus.FAILS, (params, alpha, beta)
             if report.status is SumStatus.HOLDS:
-                est = sup_estimate(params, cls, kind)
-                assert est.violations == 0, (params, alpha, beta)
+                assert sup_estimate(params, cls, kind) < beta, (params, alpha, beta)
     assert time.perf_counter() - start < 120.0
 
 
@@ -107,7 +106,7 @@ def test_04_duality():
     checked = 0
     for _ in range(40):
         params, alpha, beta = draw_chain_inputs(rng)
-        got = sup_estimate(params, ClassSpec(alpha, beta), QuotientKind.CONVEX).max_quotient
+        got = sup_estimate(params, ClassSpec(alpha, beta), QuotientKind.CONVEX)
         if got == math.inf:  # a pole of the quotient in the closed disk
             continue
         z = -1.0 if params.c < 0.0 else 1.0

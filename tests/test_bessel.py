@@ -22,6 +22,7 @@ from besselgeom import (
     params_of_kind,
 )
 from besselgeom.bessel import _coefficients
+from besselgeom.criteria import _star_weight
 from conftest import ref_coeff, ref_u, ref_u_derivs
 
 # Frozen reference values (compensated summation / scipy.special, 17 digits).
@@ -133,6 +134,23 @@ def test_coefficient_vs_reference(rng):
         got = coefficient(BesselParams(p, b, c), k)
         want = ref_coeff(p, b, c, k)
         assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.001, 50.0) | st.floats(0.01, 0.99).flatmap(
+        lambda f: st.integers(0, 40).map(lambda n: -(n + f))),
+    st.floats(-1e3, 1e3),
+    st.data(),
+)
+def test_coefficient_equals_kernel_entry(q, c, data):
+    # coefficient runs the kernel's recurrence on its own, with the same
+    # operations: a_k is the kernel's entry k bit for bit, for q > 0 and for
+    # a negative non-integer q
+    params = BesselParams(q - 1.0, 1.0, c)
+    a, _ = _coefficients(params.q, -c, 1e-13, _star_weight)
+    k = data.draw(st.integers(1, len(a)))
+    assert coefficient(params, k) == a[k - 1]
 
 
 def test_coefficient_bad_k():
@@ -296,7 +314,7 @@ def test_overflowing_terms_stop_at_once():
         return k * (k - 1.0)
 
     with pytest.raises(SeriesOverflowError, match="overflows"):
-        _coefficients(1.0, 4e9, 1e-13, 1.0, weight)
+        _coefficients(1.0, 4e9, 1e-13, weight)
     assert max(steps) < 100  # a_k is inf from k = 44 on
     assert issubclass(SeriesOverflowError, NoConvergenceError)
     # the message quotes the caller's eps, not the kernel's eps |z| = 4e-13

@@ -15,7 +15,6 @@ from besselgeom import (
     DomainError,
     NoConvergenceError,
     QuotientKind,
-    SupEstimate,
     disk,
     starlike_sum,
     sup_estimate,
@@ -36,7 +35,7 @@ def test_violation_fixture_frozen():
     assert ring_max(BAD.p, BAD.b, BAD.c, 0.0, False) > 1.0
     # the zero of u inside the disk is a pole of the quotient, for every beta
     for cls in (CLS01, CLS05):
-        assert sup_estimate(BAD, cls, QuotientKind.STARLIKE) == SupEstimate(math.inf, -1 + 0j, 1, 0)
+        assert sup_estimate(BAD, cls, QuotientKind.STARLIKE) == math.inf
 
 
 def ref_quotient(params, z, alpha, kind):
@@ -78,10 +77,10 @@ def test_max_quotient_near_origin(r):
     # where z u'/u - 1 would cancel
     params = BesselParams(1.3, 1.0, -0.7 * r)
     for kind in QuotientKind:
-        est = sup_estimate(params, CLS05, kind)
+        sup = sup_estimate(params, CLS05, kind)
         want = mp_quotient(BesselParams(1.3, 1.0, -0.7), -r, 0.0, kind)
         assert 0.0 < want < 1e-7
-        assert abs(est.max_quotient - want) <= 1e-14 * want, kind
+        assert abs(sup - want) <= 1e-14 * want, kind
 
 
 def test_vectorized_matches_scalar(rng):
@@ -91,11 +90,11 @@ def test_vectorized_matches_scalar(rng):
         params, alpha, beta = draw_chain_inputs(rng)
         classes = [ClassSpec(alpha, beta), ClassSpec(alpha, 1.0)]
         for kind in QuotientKind:
-            ests = sup_estimates(params, classes, kind)
-            assert ests[0].max_quotient == ests[1].max_quotient
-            if ests[0].max_quotient < math.inf:
+            sups = sup_estimates(params, classes, kind)
+            assert sups[0] == sups[1]
+            if sups[0] < math.inf:
                 want = ref_quotient(params, -1.0 + 0j, alpha, kind)
-                assert ests[0].max_quotient == pytest.approx(want, rel=1e-10)
+                assert sups[0] == pytest.approx(want, rel=1e-10)
                 checked += 1
     assert checked >= 10
 
@@ -108,9 +107,7 @@ def test_certified_draws_have_no_violations(rng):
         cls = ClassSpec(alpha, beta)
         if not starlike_sum(params, cls).holds:
             continue
-        est = sup_estimate(params, cls, QuotientKind.STARLIKE)
-        assert est.violations == 0
-        assert est.max_quotient < cls.beta
+        assert sup_estimate(params, cls, QuotientKind.STARLIKE) < cls.beta
         checked += 1
 
 
@@ -118,12 +115,10 @@ def test_sup_argmax_on_outer_ring():
     # a beta < 1 class takes the exact sup at z = sign(c) on the unit circle,
     # as beta = 1 does; the 0.999 ring of the sampler read 0.004565095939299634
     params = BesselParams(10.0, 1.0, -0.1)
-    est = sup_estimate(params, CLS05, QuotientKind.STARLIKE)
-    exact = sup_estimate(params, CLS01, QuotientKind.STARLIKE)
-    assert est.argmax_z == exact.argmax_z == -1 + 0j
-    assert est.max_quotient == exact.max_quotient == 0.004569689971653173
-    assert est.violations == exact.violations == 0
-    assert ring_max(params.p, params.b, params.c, 0.0, False) < est.max_quotient
+    sup = sup_estimate(params, CLS05, QuotientKind.STARLIKE)
+    assert sup == sup_estimate(params, CLS01, QuotientKind.STARLIKE) == 0.004569689971653173
+    assert sup == pytest.approx(mp_quotient(params, -1.0, 0.0, QuotientKind.STARLIKE), rel=1e-13)
+    assert ring_max(params.p, params.b, params.c, 0.0, False) < sup
 
 
 def test_false_membership_regression():
@@ -131,9 +126,21 @@ def test_false_membership_regression():
     # and certified this non-member; the exact sup at z = 1 is at least beta
     params = BesselParams(-0.7760812953581148, 1.0, 0.1036127991657812)
     cls = ClassSpec(0.19897086576962877, 0.9078856454907038)
-    est = sup_estimate(params, cls, QuotientKind.STARLIKE)
-    assert est == SupEstimate(0.908536345275895, 1 + 0j, 1, 0)
+    sup = sup_estimate(params, cls, QuotientKind.STARLIKE)
+    assert sup == 0.908536345275895 > cls.beta
     assert ring_max(params.p, params.b, params.c, cls.alpha, False) < cls.beta
+
+
+def test_sup_is_reached_only_on_the_circle():
+    # the class is strict on the open disk, so beta = sup is a member: along
+    # z = sign(c) r the quotient rises strictly with r and stays below the sup
+    params = BesselParams(-0.7760812953581148, 1.0, 0.1036127991657812)
+    alpha = 0.19897086576962877
+    sup = sup_estimate(params, ClassSpec(alpha, 0.908536345275895), QuotientKind.STARLIKE)
+    assert sup == 0.908536345275895
+    values = [mp_quotient(params, r, alpha, QuotientKind.STARLIKE) for r in (0.9, 0.99, 0.999999)]
+    assert values == sorted(values) and len(set(values)) == 3
+    assert values[-1] < sup
 
 
 def test_sup_estimates_equals_per_class_calls():
@@ -151,7 +158,7 @@ def test_sup_estimates_equals_per_class_calls():
             assert got == [sup_estimate(params, cls, kind) for cls in classes]
     # the zero of u inside the disk decides every class
     for kind in QuotientKind:
-        assert {e.max_quotient for e in sup_estimates(BAD, classes, kind)} == {math.inf}
+        assert set(sup_estimates(BAD, classes, kind)) == {math.inf}
     assert sup_estimates(BAD, [], QuotientKind.CONVEX) == []
 
 
@@ -170,11 +177,8 @@ def test_sup_does_not_depend_on_beta(q, c, alpha, betas):
     # for fixed (params, alpha, kind) beta only moves the verdict
     params = BesselParams(q - 1.0, 1.0, c)
     for kind in QuotientKind:
-        ests = sup_estimates(params, [ClassSpec(alpha, b) for b in [1.0, *betas]], kind)
-        assert len({(e.max_quotient, e.argmax_z) for e in ests}) == 1
-        for beta, est in zip([1.0, *betas], ests):
-            assert est.violations == int(est.max_quotient >= beta)
-            assert est.degenerate_points == 0
+        sups = sup_estimates(params, [ClassSpec(alpha, b) for b in [1.0, *betas]], kind)
+        assert len(set(sups)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +222,7 @@ def test_zero_inside_first_ring_is_a_violation(pbc, kind, beta):
     f = mp_lane(params, kind)
     with mpmath.workdps(30):
         assert f(0) > 0 > f(0.11)  # a real zero between 0 and 0.11 sign(c)
-    est = sup_estimate(params, ClassSpec(0.0, beta), kind)
-    assert est.max_quotient == math.inf
-    assert est.violations >= 1
+    assert sup_estimate(params, ClassSpec(0.0, beta), kind) == math.inf
 
 
 def test_exact_sup_at_large_c():
@@ -231,7 +233,7 @@ def test_exact_sup_at_large_c():
     zeros = sum(1 for k in range(1, 40) if mpmath.besseljzero(0, k) < 2 * mpmath.sqrt(s))
     assert disk._fraction(q, s)[2] == zeros == 11
     for kind in QuotientKind:
-        assert sup_estimate(BesselParams(0.0, 1.0, -s), CLS01, kind).max_quotient == math.inf
+        assert sup_estimate(BesselParams(0.0, 1.0, -s), CLS01, kind) == math.inf
     # the continued fraction at z = -0.95, where r_0 and r_1 are ratios of
     # 0F1 values
     r, r1, _ = disk._fraction(q, 0.95 * s)
@@ -277,11 +279,11 @@ def test_exact_sup_bounds_the_grid(q, c, alpha, beta):
     # at a quarter of the default cost.
     cls = ClassSpec(alpha, beta)
     for kind in QuotientKind:
-        ests = [sup_estimate(BesselParams(q - 1.0, 1.0, cc), cls, kind) for cc in (c, -c)]
-        assert ests[0].max_quotient == ests[1].max_quotient
+        sups = [sup_estimate(BesselParams(q - 1.0, 1.0, cc), cls, kind) for cc in (c, -c)]
+        assert sups[0] == sups[1]
         sampled = ring_max(q - 1.0, 1.0, -c, alpha, kind is QuotientKind.CONVEX, angles=180)
-        if ests[0].max_quotient < math.inf:
+        if sups[0] < math.inf:
             # (the absolute floor covers subnormal sups, which carry no relative precision)
-            assert sampled <= ests[0].max_quotient * (1.0 + 1e-12) + 1e-300
+            assert sampled <= sups[0] * (1.0 + 1e-12) + 1e-300
         if sampled > beta * (1.0 + 1e-12):
-            assert ests[1].violations == 1
+            assert sups[1] > beta

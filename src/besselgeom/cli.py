@@ -29,6 +29,12 @@ scan evaluates the coefficient sums and the disk layer once per order p: the
 rows of one p differ only in alpha and beta.  main builds the argparse parser
 once per process, on its first call (not at import), and reuses it: parsing
 never changes it.
+
+numpy is imported inside figure_record, and by thresholds inside the sign
+scans of the threshold command, not at module level: importing numpy costs
+about twice the rest of the package, and eval, check and scan evaluate
+single points in pure Python.  scan takes its axes from _linspace, which
+returns np.linspace's floats bit for bit, so that it never loads numpy.
 """
 
 from __future__ import annotations
@@ -38,12 +44,9 @@ import functools
 import json
 import math
 import sys
-from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-
-import numpy as np
 
 from .bessel import BesselParams, SeriesValue, eval_u_derivatives, eval_w
 from .conditions import ConditionVerdict, Variant, convex_condition, starlike_condition
@@ -235,6 +238,8 @@ def _g17(x: float) -> str:
 
 def load_output_schema() -> dict:
     """The published schema every OutputRecord must validate against."""
+    from importlib import resources
+
     text = resources.files("besselgeom").joinpath("output_schema.json").read_text("utf-8")
     return json.loads(text)
 
@@ -383,6 +388,8 @@ def threshold_record(figure: int, tol: float) -> dict:
 
 
 def figure_record(figure: int, low: float, high: float, step: float) -> dict:
+    import numpy as np
+
     spec = _spec(figure)
     xs = sample_grid(low, high, step)
     # drop the singular sample instead of aborting the grid
@@ -393,6 +400,27 @@ def figure_record(figure: int, low: float, high: float, step: float) -> dict:
     result = {"label": spec.label, "singularity": spec.singularity, "rows": rows}
     inputs = {"figure": figure, "low": low, "high": high, "step": step}
     return _record("figure", inputs, result)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n).tolist() for n >= 1, bit for bit, without numpy.
+
+    The IEEE operations are numpy's, in numpy's order: i * step + lo with
+    step = (hi - lo) / (n - 1), or i / (n - 1) * (hi - lo) + lo when step
+    underflows to 0; the last entry is hi itself.
+    """
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]
+    div = n - 1
+    step = delta / div
+    if step == 0.0:
+        xs = [float(i) / div * delta + lo for i in range(div)]
+    else:
+        xs = [float(i) * step + lo for i in range(div)]
+    xs.append(hi)
+    return xs
 
 
 def scan_record(
@@ -411,9 +439,9 @@ def scan_record(
             f"{MAX_GRID_POINTS} rows"
         )
 
-    ps = np.linspace(p_range[0], p_range[1], steps[0]).tolist()
-    alphas = np.linspace(alpha_range[0], alpha_range[1], steps[1]).tolist()
-    betas = np.linspace(beta_range[0], beta_range[1], steps[2]).tolist()
+    ps = _linspace(p_range[0], p_range[1], steps[0])
+    alphas = _linspace(alpha_range[0], alpha_range[1], steps[1])
+    betas = _linspace(beta_range[0], beta_range[1], steps[2])
     pairs = [(a, bt) for a in alphas for bt in betas]
     classes = [ClassSpec(a, bt) for a, bt in pairs]
 

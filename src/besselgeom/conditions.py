@@ -26,6 +26,10 @@ general display and clearing a fixed positive factor.  The two agree in
 sign for ten of the twelve cases; for the modified-kind starlike pair the
 printed display disagrees with direct substitution, and consistency_audit
 documents the disagreement instead of silently picking a side.
+
+Every condition here is evaluated at one point in scalar Python.  Only
+consistency_audit builds arrays, and it imports numpy itself, so importing
+this module (and the package) does not load numpy.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 from typing import Callable
-
-import numpy as np
 
 from .bessel import BesselParams
 from .criteria import ClassSpec
@@ -364,6 +366,8 @@ def consistency_audit(
     special_case_condition returns at that point, and examples are the first
     disagreements in (p, alpha, beta) order.
     """
+    import numpy as np
+
     criteria_report: dict = {}
     for cid, case in _SPECIAL_CASES.items():
         beta_axis = (1.0,) if case.beta1 else betas

@@ -32,17 +32,23 @@ ulp at some arguments) and saturates exactly where the scalar one does,
 and every other operation is an elementwise IEEE + - * / in the scalar
 order.  Bisection stays scalar, so roots, brackets and residuals keep their
 bits.
+
+numpy is imported inside the functions that build arrays (sample_grid,
+_sign_changes), not at module level, so that importing the package and
+evaluating single points (figure_eval) never load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, NoBracketError, SingularityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-10
 SCAN_STEP = 0.01
@@ -62,9 +68,13 @@ def _exp(t):
     """exp saturating to +inf instead of raising on overflow.
 
     An array argument is mapped entrywise through math.exp, so each entry is
-    bit-equal to the scalar result.
+    bit-equal to the scalar result.  numpy is looked up in sys.modules, not
+    imported: before it is loaded no argument can be an array, and a number
+    (bisection passes one on every evaluation) takes the scalar path
+    without loading it.
     """
-    if isinstance(t, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(t, np.ndarray):
         out = np.fromiter(map(math.exp, np.minimum(t, _EXP_SAFE).tolist()), float, t.size)
         big = np.flatnonzero(t > _EXP_SAFE)
         out[big] = [_exp(v) for v in t[big].tolist()]
@@ -166,6 +176,8 @@ def sample_grid(low: float, high: float, step: float) -> np.ndarray:
             f"grid of step {step!r} on [{low!r}, {high!r}] has more than "
             f"{MAX_GRID_POINTS} points"
         )
+    import numpy as np
+
     with np.errstate(over="ignore"):
         xs = low + np.arange(math.floor(span) + 1) * step  # the IEEE operations of low + i * step
     if not math.isfinite(xs[-1]):
@@ -177,6 +189,8 @@ def _sign_changes(
     func: Callable, low: float, high: float, step: float
 ) -> list[tuple[float, float]]:
     """Brackets [x, x+step] on which func changes sign (or hits 0 at x+step)."""
+    import numpy as np
+
     xs = sample_grid(low, high, step)
     if xs[-1] < high:
         xs = np.append(xs, high)

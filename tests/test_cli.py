@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 import pathlib
+import struct
 import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besselgeom import DomainError, SumReport, SumStatus, bessel, cli, criteria, disk, thresholds
@@ -657,10 +659,33 @@ def test_scan_bad_flags(capsys):
 @pytest.mark.parametrize("steps", ["1000001,1,1", "1000,1000,2"])
 def test_scan_refuses_oversized_grid(capsys, monkeypatch, steps):
     # more than MAX_GRID_POINTS rows exits 2 before a grid or a layer is built
-    monkeypatch.setattr(cli.np, "linspace", _refuse_work)
+    monkeypatch.setattr(cli, "_linspace", _refuse_work)
     for name in ("starlike_condition", "convex_condition", "sum_reports", "sup_estimates"):
         monkeypatch.setattr(cli, name, _refuse_work)
     assert_refused_before_work(capsys, monkeypatch, [*SCAN_ARGS[:-1], steps])
+
+
+def _bits(xs):
+    return [struct.pack("d", x) for x in xs]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TINY = st.floats(min_value=-1e-306, max_value=1e-306)  # steps that underflow
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(FINITE, TINY), st.one_of(FINITE, TINY), st.integers(1, 200))
+@example(-0.0, -0.0, 1)
+@example(-0.0, 0.0, 3)
+@example(0.0, -0.0, 2)
+@example(5e-324, 1e-323, 200)  # step == 0: the i / div * delta branch
+@example(-1.7976931348623157e308, 1.7976931348623157e308, 5)  # hi - lo overflows
+@example(-1e308, 1e308, 1)  # 0 * inf
+def test_linspace_bit_equal_numpy(a, b, n):
+    lo, hi = min(a, b), max(a, b)
+    with np.errstate(all="ignore"):  # hi - lo may overflow, as it does in floats
+        want = np.linspace(lo, hi, n).tolist()
+    assert _bits(cli._linspace(lo, hi, n)) == _bits(want)
 
 
 def test_scan_record_validates_schema():

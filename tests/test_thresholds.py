@@ -194,6 +194,31 @@ def _assert_bit_equal(func, xs):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+# figure_eval at a float, an int and an np.float64 argument, as float.hex of
+# the values the module returned while it imported numpy at module level.
+SCALAR_BITS = {
+    1: ("0x1.1de8392fbbfe0p+2", "0x1.bf872a447843ep+2", "0x1.8f55b625f0bacp+2"),
+    2: ("0x1.c323aa3866030p+0", "0x1.0752261a75373p+2", "0x1.b1a4a667a6d5ap+1"),
+    3: ("0x1.3e9891e28b858p+3", "0x1.df9d0eaefaca8p+3", "0x1.af7963cd1306cp+3"),
+    4: ("0x1.e562477baafd8p+3", "0x1.5fb47a6acb2a6p+5", "0x1.102588c427e33p+5"),
+    5: ("-0x1.80242970029c4p+3", "-0x1.44f5f970ce8a8p+2", "-0x1.0c0e502c32d04p+3"),
+    6: ("0x1.3ef26d69e8a42p+6", "0x1.99bbfa184c6b4p+7", "0x1.44301341c34c0p+7"),
+}
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURES))
+def test_scalar_g_bits_unchanged(fid):
+    # the scalar path of _exp tells numbers from arrays without numpy
+    got = [figure_eval(fid, x) for x in (0.5, 3, np.float64(2.25))]
+    assert [float(v).hex() for v in got] == list(SCALAR_BITS[fid])
+    assert [type(v) for v in got] == [float, float, np.float64]
+    near = FIGURES[fid].singularity + 1e-4  # exp(1e4) saturates to inf
+    assert math.isinf(figure_eval(fid, near))
+    # a one-entry array is still an array, entrywise equal to the scalar path
+    for x in (0.5, 3.0, 2.25, near):
+        _assert_bit_equal(FIGURES[fid].func, [x])
+
+
 @pytest.mark.parametrize("fid", sorted(FIGURES))
 def test_array_g_bit_equal_on_every_window_point(fid):
     spec = FIGURES[fid]

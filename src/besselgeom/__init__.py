@@ -16,7 +16,6 @@ from .bessel import (
     BesselKind,
     BesselParams,
     SeriesValue,
-    coefficient,
     eval_u,
     eval_u_derivatives,
     eval_w,
@@ -99,7 +98,6 @@ __all__ = [
     "SumReport",
     "SumStatus",
     "Variant",
-    "coefficient",
     "consistency_audit",
     "convex_condition",
     "convex_sum",

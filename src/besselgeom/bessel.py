@@ -26,8 +26,8 @@ sums of criteria.  Each caller gives a weight w(k); the kernel stops only
 once the discarded terms w(k) |a_k| are dominated by a geometric series
 with ratio r <= 1/2, and |first discarded term| / (1 - r) bounds them.
 So every SeriesValue carries a tail bound that is valid by construction.
-coefficient runs the same recurrence without the stop rule.  Accumulation
-is compensated (Kahan), so the returned values are accurate to a few ulps.
+Accumulation is compensated (Kahan), so the returned values are accurate to
+a few ulps.
 """
 
 from __future__ import annotations
@@ -91,9 +91,18 @@ class BesselKind(Enum):
     """Named specializations of the parameter triple."""
 
     GENERALIZED = "generalized"
-    FIRST_KIND = "first-kind"  # (b, c) = (1, 1),  w = J_p,  p > -1
-    MODIFIED = "modified"      # (b, c) = (1, -1), w = I_p,  p > -1
-    SPHERICAL = "spherical"    # (b, c) = (2, 1),  w = 2 j_p / sqrt(pi), p > -3/2
+    FIRST_KIND = "first-kind"  # w = J_p
+    MODIFIED = "modified"      # w = I_p
+    SPHERICAL = "spherical"    # w = 2 j_p / sqrt(pi)
+
+
+# (b, c, p_low) of each named kind; its orders are p > p_low.  Every other
+# module takes a kind's parameters and order domain from params_of_kind.
+_KINDS: dict[BesselKind, tuple[float, float, float]] = {
+    BesselKind.FIRST_KIND: (1.0, 1.0, -1.0),
+    BesselKind.MODIFIED: (1.0, -1.0, -1.0),
+    BesselKind.SPHERICAL: (2.0, 1.0, -1.5),
+}
 
 
 def params_of_kind(
@@ -109,19 +118,13 @@ def params_of_kind(
         return BesselParams(p, b, c)
     if b is not None or c is not None:
         raise DomainError(f"{kind.value} kind fixes b and c; do not pass them")
-    if kind is BesselKind.FIRST_KIND:
-        if not p > -1.0:
-            raise DomainError(f"first-kind order requires p > -1, got {p!r}")
-        return BesselParams(p, 1.0, 1.0)
-    if kind is BesselKind.MODIFIED:
-        if not p > -1.0:
-            raise DomainError(f"modified order requires p > -1, got {p!r}")
-        return BesselParams(p, 1.0, -1.0)
-    if kind is BesselKind.SPHERICAL:
-        if not p > -1.5:
-            raise DomainError(f"spherical order requires p > -3/2, got {p!r}")
-        return BesselParams(p, 2.0, 1.0)
-    raise DomainError(f"unknown kind {kind!r}")
+    entry = _KINDS.get(kind) if isinstance(kind, BesselKind) else None
+    if entry is None:
+        raise DomainError(f"unknown kind {kind!r}")
+    b, c, p_low = entry
+    if not p > p_low:
+        raise DomainError(f"{kind.value} order requires p > {p_low!r}, got {p!r}")
+    return BesselParams(p, b, c)
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,7 @@ class SeriesValue:
 def _gamma(x: float) -> float:
     """Gamma(x) via math.gamma, mapping its pole errors to PoleError.
 
+    Overflow still raises OverflowError; eval_w turns it into DomainError.
     The underlying implementation is a Lanczos-type approximation accurate
     to well under 1e-12 relative error on this package's domain and exact
     at small positive integers.
@@ -202,26 +206,6 @@ def _coefficients(q: float, x: complex | float, eps: float, weight):
                 if bound < eps:
                     return a, bound
     raise NoConvergenceError(f"tail bound {eps!r} not certified within {MAX_TERMS} terms")
-
-
-def coefficient(params: BesselParams, k: int) -> float:
-    """Taylor coefficient a_k of u: a_1 = 1, a_k = (-c)^(k-1) / ((q)_(k-1) (k-1)!).
-
-    The same operations as the recurrence of _coefficients at x = -c, so
-    a_k is bit for bit the kernel's entry k.
-    """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    q, x = params.q, -params.c
-    a = 1.0
-    for j in range(1, k):
-        denom = (q + (j - 1.0)) * j
-        if denom == 0.0:
-            raise PoleError(f"(q)_{j} vanishes for q = {q!r}")
-        a = a * x / denom
-    return a
 
 
 def _kahan_sum(terms):
@@ -328,12 +312,24 @@ def eval_w(params: BesselParams, x: float, eps: float = DEFAULT_EPS) -> SeriesVa
 
     Only real x > 0 is accepted (the principal real power x^p needs no
     branch policy there).  The working region of u limits x to (0, 4].
+    DomainError is raised where the scale (x/2)^(p-2) / Gamma(q) cannot be
+    formed in binary64: the power, Gamma(q) or their quotient overflows, or
+    Gamma(q) or x/2 underflows to 0 and is divided by or raised to a
+    negative power.
     """
     if isinstance(x, complex):
         raise DomainError("x must be real")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
-    scale = (x / 2.0) ** (params.p - 2.0) / _gamma(params.q)
+    try:
+        scale = (x / 2.0) ** (params.p - 2.0) / _gamma(params.q)
+    except (OverflowError, ZeroDivisionError):
+        scale = _INF
+    if math.isinf(scale):
+        raise DomainError(
+            f"the scale (x/2)^(p-2) / Gamma(q) of w is out of binary64 range "
+            f"at p = {params.p!r}, x = {x!r}"
+        )
     sv = eval_u(params, x * x / 4.0, eps)
     value = sv.value * scale
     tail = sv.tail_bound * abs(scale) + 2.0 * _EPS_ULP * abs(value)

@@ -30,11 +30,11 @@ rows of one p differ only in alpha and beta.  main builds the argparse parser
 once per process, on its first call (not at import), and reuses it: parsing
 never changes it.
 
-numpy is imported inside figure_record, and by thresholds inside the sign
-scans of the threshold command, not at module level: importing numpy costs
-about twice the rest of the package, and eval, check and scan evaluate
-single points in pure Python.  scan takes its axes from _linspace, which
-returns np.linspace's floats bit for bit, so that it never loads numpy.
+This module never imports numpy: thresholds, the package's one numpy
+module, loads it for the sign scans of threshold and the table of figure.
+Importing numpy costs about twice the rest of the package, and eval, check
+and scan evaluate single points in pure Python.  scan takes its axes from
+_linspace, which returns np.linspace's floats bit for bit.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from .thresholds import (
     RootResult,
     _spec,
     figure_eval,
+    figure_table,
     find_all_thresholds,
     positivity_scan,
-    sample_grid,
 )
 
 SCHEMA_VERSION = "1.2"
@@ -74,9 +74,6 @@ CHECK_MODES = ("lemma", "theorem", "disk", "all")
 POSITIVITY_MARGIN = 1e-3
 POSITIVITY_HIGH = 50.0
 POSITIVITY_STEP = 0.005
-
-# Figure samples closer than this to the singularity are dropped, not fatal.
-SINGULAR_SKIP = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +385,8 @@ def threshold_record(figure: int, tol: float) -> dict:
 
 
 def figure_record(figure: int, low: float, high: float, step: float) -> dict:
-    import numpy as np
-
     spec = _spec(figure)
-    xs = sample_grid(low, high, step)
-    # drop the singular sample instead of aborting the grid
-    xs = xs[~(np.abs(xs - spec.singularity) < SINGULAR_SKIP)]
-    with np.errstate(over="ignore", invalid="ignore"):  # saturate silently, as floats do
-        gs = spec.func(xs)
-    rows = [{"x": x, "g": g} for x, g in zip(xs.tolist(), gs.tolist())]
+    rows = [{"x": x, "g": g} for x, g in figure_table(figure, low, high, step)]
     result = {"label": spec.label, "singularity": spec.singularity, "rows": rows}
     inputs = {"figure": figure, "low": low, "high": high, "step": step}
     return _record("figure", inputs, result)

@@ -27,9 +27,9 @@ sign for ten of the twelve cases; for the modified-kind starlike pair the
 printed display disagrees with direct substitution, and consistency_audit
 documents the disagreement instead of silently picking a side.
 
-Every condition here is evaluated at one point in scalar Python.  Only
-consistency_audit builds arrays, and it imports numpy itself, so importing
-this module (and the package) does not load numpy.
+Every condition here, the audit's included, is evaluated point by point in
+scalar Python.  Each special case names its Bessel kind, and its (b, c) and
+order domain come from bessel.params_of_kind.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import Callable
 
-from .bessel import BesselParams
+from .bessel import BesselKind, BesselParams, params_of_kind
 from .criteria import ClassSpec
 from .errors import BetaMismatchError, DomainError
 
@@ -237,9 +236,7 @@ def _p_conv_sph_b1(p, a, b):
 
 @dataclass(frozen=True)
 class _SpecialCase:
-    b: float
-    c: float
-    p_low: float
+    kind: BesselKind
     beta1: bool
     convex: bool
     printed: Callable[[float, float, float], float]
@@ -247,31 +244,33 @@ class _SpecialCase:
     factor: Callable[[float], float]
 
 
+_FK, _MOD, _SPH = BesselKind.FIRST_KIND, BesselKind.MODIFIED, BesselKind.SPHERICAL
+
 _SPECIAL_CASES: dict[CriterionId, _SpecialCase] = {
     CriterionId.STARLIKE_FIRST_KIND: _SpecialCase(
-        1.0, 1.0, -1.0, False, False, _p_star_fk, lambda p: (p + 1) * _f(p)),
+        _FK, False, False, _p_star_fk, lambda p: (p + 1) * _f(p)),
     CriterionId.STARLIKE_MODIFIED: _SpecialCase(
-        1.0, -1.0, -1.0, False, False, _p_star_mod, lambda p: p + 1),
+        _MOD, False, False, _p_star_mod, lambda p: p + 1),
     CriterionId.STARLIKE_SPHERICAL: _SpecialCase(
-        2.0, 1.0, -1.5, False, False, _p_star_sph, lambda p: (p + 1.5) * _g(p)),
+        _SPH, False, False, _p_star_sph, lambda p: (p + 1.5) * _g(p)),
     CriterionId.CONVEX_FIRST_KIND: _SpecialCase(
-        1.0, 1.0, -1.0, False, True, _p_conv_fk, lambda p: 1.0),
+        _FK, False, True, _p_conv_fk, lambda p: 1.0),
     CriterionId.CONVEX_MODIFIED: _SpecialCase(
-        1.0, -1.0, -1.0, False, True, _p_conv_mod, lambda p: _f(p)),
+        _MOD, False, True, _p_conv_mod, lambda p: _f(p)),
     CriterionId.CONVEX_SPHERICAL: _SpecialCase(
-        2.0, 1.0, -1.5, False, True, _p_conv_sph, lambda p: 0.5),
+        _SPH, False, True, _p_conv_sph, lambda p: 0.5),
     CriterionId.STARLIKE_FIRST_KIND_BETA1: _SpecialCase(
-        1.0, 1.0, -1.0, True, False, _p_star_fk_b1, lambda p: (p + 1) * _f(p) / 2),
+        _FK, True, False, _p_star_fk_b1, lambda p: (p + 1) * _f(p) / 2),
     CriterionId.STARLIKE_MODIFIED_BETA1: _SpecialCase(
-        1.0, -1.0, -1.0, True, False, _p_star_mod_b1, lambda p: (p + 1) / 2),
+        _MOD, True, False, _p_star_mod_b1, lambda p: (p + 1) / 2),
     CriterionId.STARLIKE_SPHERICAL_BETA1: _SpecialCase(
-        2.0, 1.0, -1.5, True, False, _p_star_sph_b1, lambda p: (p + 1.5) * _g(p)),
+        _SPH, True, False, _p_star_sph_b1, lambda p: (p + 1.5) * _g(p)),
     CriterionId.CONVEX_FIRST_KIND_BETA1: _SpecialCase(
-        1.0, 1.0, -1.0, True, True, _p_conv_fk_b1, lambda p: 0.5),
+        _FK, True, True, _p_conv_fk_b1, lambda p: 0.5),
     CriterionId.CONVEX_MODIFIED_BETA1: _SpecialCase(
-        1.0, -1.0, -1.0, True, True, _p_conv_mod_b1, lambda p: _f(p) / 2),
+        _MOD, True, True, _p_conv_mod_b1, lambda p: _f(p) / 2),
     CriterionId.CONVEX_SPHERICAL_BETA1: _SpecialCase(
-        2.0, 1.0, -1.5, True, True, _p_conv_sph_b1, lambda p: 0.5),
+        _SPH, True, True, _p_conv_sph_b1, lambda p: 0.5),
 }
 
 # Value ratio between each full display and its beta = 1 specialization,
@@ -308,15 +307,15 @@ def special_case_condition(
     """Evaluate one of the twelve specialized conditions at order p.
 
     PRINTED transcribes the specialized display verbatim.  DERIVED
-    substitutes the case's (b, c) into the general display as written and
-    multiplies by the case's fixed positive clearing factor, so the result
-    is directly comparable with the printed value.
+    substitutes the (b, c) of the case's kind into the general display as
+    written and multiplies by the case's fixed positive clearing factor, so
+    the result is directly comparable with the printed value.  An order
+    outside the kind's domain raises params_of_kind's DomainError.
     """
     case = _SPECIAL_CASES.get(criterion)
     if case is None:
         raise DomainError(f"{criterion} is not a specialized criterion")
-    if not p > case.p_low:
-        raise DomainError(f"{criterion.value} requires p > {case.p_low}, got {p!r}")
+    params = params_of_kind(case.kind, p)
     if case.beta1 and cls.beta != 1.0:
         raise BetaMismatchError(
             f"{criterion.value} is defined for beta = 1, got beta = {cls.beta!r}"
@@ -324,12 +323,11 @@ def special_case_condition(
     if variant is Variant.PRINTED:
         value = case.printed(p, cls.alpha, cls.beta)
     else:
-        q = p + (case.b + 1.0) / 2.0
-        base = _convex_value(q, -case.c, cls) if case.convex else _starlike_value(q, -case.c, cls)
-        value = base * case.factor(p)
+        general = _convex_value if case.convex else _starlike_value
+        value = general(params.q, -params.c, cls) * case.factor(p)
     return _verdict(
         criterion, variant, value,
-        p=p, b=case.b, c=case.c, alpha=cls.alpha, beta=cls.beta,
+        p=p, b=params.b, c=params.c, alpha=cls.alpha, beta=cls.beta,
     )
 
 
@@ -360,50 +358,40 @@ def consistency_audit(
     at 1.  Returns a JSON-ready report with per-criterion agreement counts,
     example disagreement points, and the pinned reference disagreement.
 
-    For each criterion and order p, both displays are evaluated in one array
-    pass over the (alpha, beta) sub-grid; the exponentials depend on p alone
-    and stay scalar math.exp calls.  Every value is bit-equal to the one
-    special_case_condition returns at that point, and examples are the first
-    disagreements in (p, alpha, beta) order.
+    One plain loop over (p, alpha, beta): the kind's parameters and the
+    clearing factor depend on p alone, so they are formed once per order,
+    and both displays are evaluated inline at each point.  Every value is
+    the one special_case_condition returns there, and examples are the
+    first disagreements in (p, alpha, beta) order.
     """
-    import numpy as np
-
     criteria_report: dict = {}
     for cid, case in _SPECIAL_CASES.items():
         beta_axis = (1.0,) if case.beta1 else betas
         # ClassSpec validates every pair, in grid order
         classes = [ClassSpec(a, b) for a in alphas for b in beta_axis] if p_values else []
-        # the ClassSpec fields _starlike_value and _convex_value read, as arrays
-        grid = SimpleNamespace(
-            alpha=np.array([c.alpha for c in classes], dtype=float),
-            beta=np.array([c.beta for c in classes], dtype=float),
-            threshold=np.array([c.threshold for c in classes], dtype=float),
-        )
-        points = agreements = 0
+        disagreements = 0
         examples: list[dict] = []
         min_abs_printed = math.inf
-        value = _convex_value if case.convex else _starlike_value
+        general = _convex_value if case.convex else _starlike_value
         for p in p_values if classes else ():
-            if not p > case.p_low:
-                raise DomainError(f"{cid.value} requires p > {case.p_low}, got {p!r}")
-            q = p + (case.b + 1.0) / 2.0
-            with np.errstate(over="ignore", invalid="ignore"):  # floats saturate silently
-                printed = case.printed(p, grid.alpha, grid.beta)
-                derived = value(q, -case.c, grid) * case.factor(p)
-            agree = (printed >= 0.0) == (derived >= 0.0)
-            points += agree.size
-            agreements += int(np.count_nonzero(agree))
-            # fmin skips NaN, as the scalar min(m, nan) == m does
-            min_abs_printed = min(min_abs_printed, float(np.fmin.reduce(np.abs(printed))))
-            for i in np.flatnonzero(~agree)[:max(max_examples - len(examples), 0)].tolist():
-                examples.append({
-                    "p": p, "alpha": classes[i].alpha, "beta": classes[i].beta,
-                    "printed": float(printed[i]), "derived": float(derived[i]),
-                })
+            params = params_of_kind(case.kind, p)
+            q, s, factor = params.q, -params.c, case.factor(p)
+            for cls in classes:
+                printed = case.printed(p, cls.alpha, cls.beta)
+                derived = general(q, s, cls) * factor
+                min_abs_printed = min(min_abs_printed, abs(printed))
+                if (printed >= 0.0) != (derived >= 0.0):
+                    disagreements += 1
+                    if len(examples) < max_examples:
+                        examples.append({
+                            "p": p, "alpha": cls.alpha, "beta": cls.beta,
+                            "printed": printed, "derived": derived,
+                        })
+        points = len(p_values) * len(classes)
         criteria_report[cid.name] = {
             "points": points,
-            "agreements": agreements,
-            "disagreements": points - agreements,
+            "agreements": points - disagreements,
+            "disagreements": disagreements,
             "disagreement_examples": examples,
             "min_abs_printed": min_abs_printed,
         }

@@ -24,8 +24,9 @@ jump at x = -2.
 Near the singularity the exponential factor overflows; evaluations then
 return +/-inf with the correct sign rather than raising.
 
-Each g_i takes a float or a float64 array.  The sign scans evaluate the
-whole grid in one array call and compare neighbours with array operations.
+Each g_i takes a float or a float64 array.  The sign scans and
+figure_table evaluate the whole grid in one array call, and the scans
+compare neighbours with array operations.
 Their values are bit-equal to the scalar ones: the array branch of the
 exponential maps math.exp over the entries (np.exp differs from it by an
 ulp at some arguments) and saturates exactly where the scalar one does,
@@ -33,9 +34,10 @@ and every other operation is an elementwise IEEE + - * / in the scalar
 order.  Bisection stays scalar, so roots, brackets and residuals keep their
 bits.
 
-numpy is imported inside the functions that build arrays (sample_grid,
-_sign_changes), not at module level, so that importing the package and
-evaluating single points (figure_eval) never load it.
+This is the package's one numpy module.  numpy is imported inside the
+functions that build arrays (sample_grid, _sign_changes, figure_table), not
+at module level, so that importing the package and evaluating single points
+(figure_eval) never load it.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ SING_MARGIN = 1e-6
 
 # Largest number of points sample_grid builds.
 MAX_GRID_POINTS = 1_000_000
+
+# figure_table drops samples closer than this to the singularity.
+SINGULAR_SKIP = 1e-12
 
 
 # Below this exponent math.exp cannot overflow binary64 (log of the largest
@@ -185,6 +190,23 @@ def sample_grid(low: float, high: float, step: float) -> np.ndarray:
     return xs
 
 
+def figure_table(fig_id: int, low: float, high: float, step: float) -> list[tuple[float, float]]:
+    """The pairs (x, g(x)) on sample_grid(low, high, step), in grid order.
+
+    A sample within SINGULAR_SKIP of the singularity is dropped instead of
+    aborting the table, and a value that overflows saturates to +/-inf, as a
+    float evaluation does.
+    """
+    import numpy as np
+
+    spec = _spec(fig_id)
+    xs = sample_grid(low, high, step)
+    xs = xs[~(np.abs(xs - spec.singularity) < SINGULAR_SKIP)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs = spec.func(xs)
+    return list(zip(xs.tolist(), gs.tolist()))
+
+
 def _sign_changes(
     func: Callable, low: float, high: float, step: float
 ) -> list[tuple[float, float]]:
@@ -223,6 +245,8 @@ def _bisect(func: Callable[[float], float], a: float, b: float, tol: float) -> R
     iterations = 0
     while (b - a) / 2.0 > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:  # a and b are adjacent doubles: no midpoint is left
+            break
         fm = func(mid)
         iterations += 1
         if fm == 0.0:

@@ -26,16 +26,19 @@ def test_all_sorted_without_duplicates():
 
 def test_removed_names_stay_removed():
     # the disk layer has one evaluator, sup_estimates, which returns the bare
-    # sup; nothing raises DegenerateError
-    for name in ("starlike_quotient", "convex_quotient", "DegenerateError", "SupEstimate"):
+    # sup; nothing raises DegenerateError; the series coefficients come from
+    # the one kernel, bessel._coefficients
+    for name in ("starlike_quotient", "convex_quotient", "DegenerateError", "SupEstimate",
+                 "coefficient"):
         assert name not in besselgeom.__all__
         assert not hasattr(besselgeom, name)
-        assert not hasattr(besselgeom.disk, name)
-        assert not hasattr(besselgeom.errors, name)
+        for module in (besselgeom.bessel, besselgeom.disk, besselgeom.errors):
+            assert not hasattr(module, name)
 
 
 # ---------------------------------------------------------------------------
-# numpy is loaded only where arrays are built
+# numpy is loaded only where arrays are built: by thresholds, for the sign
+# scans of threshold and the table of figure
 
 
 def _fresh(script: str, *args: str) -> dict:
@@ -94,6 +97,7 @@ def test_point_paths_never_load_numpy():
         for mode in ("all", "theorem", "lemma", "disk"):
             steps[f"check-{klass}-{mode}"] = [*_CHECK, "--class", klass, "--mode", mode]
     steps["scan"] = _SCAN
+    steps["audit"] = None
     out = _fresh(_STEPS, json.dumps(steps))
     assert out == {name: [0, False] for name in ("import", *steps)}
 
@@ -101,7 +105,6 @@ def test_point_paths_never_load_numpy():
 @pytest.mark.parametrize("name,argv", [
     ("threshold", ["threshold", "--figure", "1"]),
     ("figure", _FIGURE),
-    ("audit", None),
 ])
 def test_array_paths_load_numpy(name, argv):
     # each in its own interpreter, so that this step is the one that loads it

@@ -82,6 +82,21 @@ def test_eval_domain_error_exit(capsys):
     assert main(["eval", "--p", "0", "--b", "1", "--c", "1", "--z", "4.5"]) == 2
 
 
+@pytest.mark.parametrize("p,z", [
+    ("200", "0.5"),     # Gamma(q) overflows
+    ("2000", "4"),      # (x/2)^(p-2) overflows
+    ("-300.5", "0.5"),  # Gamma(q) underflows to -0.0
+    ("-170.5", "0.5"),  # the quotient overflows to inf
+    ("0", "5e-324"),    # x/2 underflows to 0, raised to the power -2
+])
+def test_eval_w_scale_out_of_range_exits_2(capsys, p, z):
+    assert main(["eval", f"--p={p}", "--b", "1", "--c", "1", "--z", z, "--w"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"p = {float(p)!r}, x = {float(z)!r}" in captured.err
+
+
 def _refuse_work(*args):
     raise AssertionError("work started before the inputs were checked")
 

@@ -23,6 +23,7 @@ from besselgeom import (
     consistency_audit,
     convex_condition,
     convex_sum,
+    params_of_kind,
     special_case_condition,
     starlike_condition,
     starlike_sum,
@@ -139,6 +140,28 @@ def test_special_case_domain():
     with pytest.raises(BetaMismatchError):
         special_case_condition(
             CriterionId.STARLIKE_FIRST_KIND_BETA1, 1.0, ClassSpec(0.0, 0.5))
+
+
+def _domain_text(fn, *args):
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_order_domain_errors_are_params_of_kind():
+    # an order at or below a kind's bound, or not finite, raises
+    # params_of_kind's DomainError word for word; the audit raises that of
+    # the first case whose kind refuses the order
+    for p in (-1.0, -1.2, -1.5, -2.0, math.inf, math.nan):
+        refused = []
+        for cid, case in conditions._SPECIAL_CASES.items():
+            try:
+                params_of_kind(case.kind, p)
+            except DomainError as exc:
+                refused.append(str(exc))
+                assert _domain_text(special_case_condition, cid, p, CLS01) == str(exc)
+        assert refused, p
+        assert _domain_text(consistency_audit, (p,), (0.0,), (1.0,)) == refused[0]
 
 
 def test_beta1_pairs_scale():

@@ -1,6 +1,7 @@
 """Figure functions, bisection thresholds, positivity scans."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -92,6 +93,27 @@ def test_root_result_invariants():
     assert figure_eval(1, a) * figure_eval(1, b) <= 0.0
     assert root.residual == abs(figure_eval(1, root.x0))
     assert root.iterations > 0
+
+
+def test_tiny_tol_stops_at_adjacent_doubles(monkeypatch, capsys):
+    # once a and b are adjacent doubles their midpoint is one of them, and
+    # bisection stops there instead of evaluating it forever
+    spec = FIGURES[1]
+    calls = []
+
+    def guarded(x):
+        calls.append(x)
+        assert len(calls) < 1000, "bisection stopped making progress"
+        return spec.func(x)
+
+    monkeypatch.setitem(FIGURES, 1, dataclasses.replace(spec, func=guarded))
+    root = find_threshold(1, tol=1e-300)
+    a, b = root.bracket
+    assert math.nextafter(a, math.inf) == b
+    assert root.x0 in (a, b)
+    assert abs(root.x0 - ROOTS[1]) < 1e-12
+    assert main(["threshold", "--figure", "1", "--tol", "1e-300"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["threshold"] == root.x0
 
 
 def test_tol_domain():

@@ -104,13 +104,13 @@ def _sum_report(rep: SumReport) -> dict:
     }
 
 
-def _condition(v: ConditionVerdict) -> dict:
+def _condition(v: ConditionVerdict, variant: Variant, inputs: dict) -> dict:
     return {
         "criterion": v.criterion.value,
-        "variant": v.variant.value,
+        "variant": variant.value,
         "value": v.value,
         "holds": v.holds,
-        "inputs": dict(v.inputs),
+        "inputs": inputs,
     }
 
 
@@ -339,11 +339,12 @@ def check_record(
     cls = ClassSpec(alpha, beta)
     var = Variant(variant)
     cond, sums, kind = _layers(klass)
+    point = {"p": p, "b": b, "c": c, "alpha": alpha, "beta": beta}
     thm = rep = sup = None
     result: dict = {}
     if mode in ("theorem", "all"):
         thm = cond(params, cls, var)
-        result["theorem"] = _condition(thm)
+        result["theorem"] = _condition(thm, var, point)
     if mode in ("lemma", "all"):
         rep = sums(params, [cls])[0]
         result["lemma"] = _sum_report(rep)
@@ -354,10 +355,7 @@ def check_record(
     # coincides with the derived one.
     binding = var is Variant.DERIVED or c <= 0.0
     result["consistent"] = _consistent(thm if binding else None, rep, sup, beta)
-    inputs = {
-        "p": p, "b": b, "c": c, "alpha": alpha, "beta": beta,
-        "class": klass, "mode": mode, "variant": variant,
-    }
+    inputs = {**point, "class": klass, "mode": mode, "variant": variant}
     return _record("check", inputs, result)
 
 

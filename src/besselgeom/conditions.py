@@ -70,23 +70,17 @@ class CriterionId(Enum):
 
 @dataclass(frozen=True)
 class ConditionVerdict:
-    """Signed condition value with its boolean outcome and provenance."""
+    """Signed value of one closed-form condition, which holds when it is >= 0.
+
+    The parameters, class and variant stay with the caller that passed them.
+    """
 
     criterion: CriterionId
-    variant: Variant
     value: float
-    holds: bool
-    inputs: tuple[tuple[str, float], ...]
 
-
-def _verdict(criterion, variant, value, **inputs) -> ConditionVerdict:
-    return ConditionVerdict(
-        criterion=criterion,
-        variant=variant,
-        value=value,
-        holds=value >= 0.0,
-        inputs=tuple(sorted(inputs.items())),
-    )
+    @property
+    def holds(self) -> bool:
+        return self.value >= 0.0
 
 
 def _exp_term(coef: float, t: float) -> float:
@@ -131,6 +125,19 @@ def _convex_value(q: float, s: float, cls: ClassSpec) -> float:
     return cls.threshold * (1.0 + (q + 1.0) / q) * e - bracket
 
 
+def _general(
+    criterion: CriterionId,
+    value_of: Callable[[float, float, ClassSpec], float],
+    params: BesselParams,
+    cls: ClassSpec,
+    variant: Variant,
+) -> ConditionVerdict:
+    if not params.q > 0.0:
+        raise DomainError(f"condition requires q > 0, got q = {params.q!r}")
+    s = -params.c if variant is Variant.PRINTED else abs(params.c)
+    return ConditionVerdict(criterion, value_of(params.q, s, cls))
+
+
 def starlike_condition(
     params: BesselParams, cls: ClassSpec, variant: Variant = Variant.DERIVED
 ) -> ConditionVerdict:
@@ -140,28 +147,14 @@ def starlike_condition(
     c < 0); the derived variant uses s = |c|, which keeps the implication to
     the coefficient criterion valid for either sign of c.
     """
-    if not params.q > 0.0:
-        raise DomainError(f"condition requires q > 0, got q = {params.q!r}")
-    s = -params.c if variant is Variant.PRINTED else abs(params.c)
-    value = _starlike_value(params.q, s, cls)
-    return _verdict(
-        CriterionId.STARLIKE_GENERAL, variant, value,
-        p=params.p, b=params.b, c=params.c, alpha=cls.alpha, beta=cls.beta,
-    )
+    return _general(CriterionId.STARLIKE_GENERAL, _starlike_value, params, cls, variant)
 
 
 def convex_condition(
     params: BesselParams, cls: ClassSpec, variant: Variant = Variant.DERIVED
 ) -> ConditionVerdict:
     """General convex condition; holds implies u is in K(alpha, beta)."""
-    if not params.q > 0.0:
-        raise DomainError(f"condition requires q > 0, got q = {params.q!r}")
-    s = -params.c if variant is Variant.PRINTED else abs(params.c)
-    value = _convex_value(params.q, s, cls)
-    return _verdict(
-        CriterionId.CONVEX_GENERAL, variant, value,
-        p=params.p, b=params.b, c=params.c, alpha=cls.alpha, beta=cls.beta,
-    )
+    return _general(CriterionId.CONVEX_GENERAL, _convex_value, params, cls, variant)
 
 
 def _f(p: float) -> float:
@@ -325,10 +318,7 @@ def special_case_condition(
     else:
         general = _convex_value if case.convex else _starlike_value
         value = general(params.q, -params.c, cls) * case.factor(p)
-    return _verdict(
-        criterion, variant, value,
-        p=p, b=params.b, c=params.c, alpha=cls.alpha, beta=cls.beta,
-    )
+    return ConditionVerdict(criterion, value)
 
 
 # Default audit grid: 50 orders by 5 alphas by 5 betas.

@@ -94,18 +94,24 @@ class SumStatus(Enum):
 class SumReport:
     """Outcome of one weighted coefficient sum against its threshold.
 
-    holds is the rigorous claim sum + tail_bound <= threshold; FAILS requires
+    HOLDS is the rigorous claim sum + tail_bound <= threshold; FAILS requires
     sum - tail_bound > threshold; anything else is INDETERMINATE.  Ties at
     sum == threshold count as HOLDS (the criteria are non-strict).  A sum
-    whose terms overflow reads sum = inf and margin = -inf, and FAILS.
+    whose terms overflow reads sum = inf, hence margin = -inf, and FAILS.
     """
 
     sum: float
     tail_bound: float
     threshold: float
-    holds: bool
-    margin: float
     status: SumStatus
+
+    @property
+    def holds(self) -> bool:
+        return self.status is SumStatus.HOLDS
+
+    @property
+    def margin(self) -> float:
+        return self.threshold - self.sum
 
 
 def _report(total: float, tail: float, cls: ClassSpec) -> SumReport:
@@ -116,14 +122,7 @@ def _report(total: float, tail: float, cls: ClassSpec) -> SumReport:
         status = SumStatus.FAILS
     else:
         status = SumStatus.INDETERMINATE
-    return SumReport(
-        sum=total,
-        tail_bound=tail,
-        threshold=thr,
-        holds=status is SumStatus.HOLDS,
-        margin=thr - total,
-        status=status,
-    )
+    return SumReport(total, tail, thr, status)
 
 
 def _star_weight(k: int) -> float:

@@ -116,19 +116,23 @@ def _g6(x: float) -> float:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    fig_id: int
+    """One threshold function g_i: its singularity, label and evaluator.
+
+    Its figure id is its key in FIGURES.
+    """
+
     singularity: float
     label: str
     func: Callable  # float -> float, and float64 array -> float64 array
 
 
 FIGURES: dict[int, FigureSpec] = {
-    1: FigureSpec(1, -2.0, "first-kind starlike threshold function", _g1),
-    2: FigureSpec(2, -2.0, "modified starlike threshold function", _g2),
-    3: FigureSpec(3, -2.5, "spherical starlike threshold function", _g3),
-    4: FigureSpec(4, -2.0, "first-kind convex threshold function", _g4),
-    5: FigureSpec(5, -2.0, "modified convex threshold function", _g5),
-    6: FigureSpec(6, -2.5, "spherical convex threshold function", _g6),
+    1: FigureSpec(-2.0, "first-kind starlike threshold function", _g1),
+    2: FigureSpec(-2.0, "modified starlike threshold function", _g2),
+    3: FigureSpec(-2.5, "spherical starlike threshold function", _g3),
+    4: FigureSpec(-2.0, "first-kind convex threshold function", _g4),
+    5: FigureSpec(-2.0, "modified convex threshold function", _g5),
+    6: FigureSpec(-2.5, "spherical convex threshold function", _g6),
 }
 
 

@@ -208,8 +208,7 @@ def test_check_beta_below_1_false_membership(capsys):
 def test_consistent_tie_is_a_member():
     # the class is strict on the open disk, which reaches the sup only on
     # the circle: a lemma that HOLDS agrees with sup == beta, not with more
-    holds = SumReport(sum=1.0, tail_bound=0.0, threshold=2.0, holds=True,
-                      margin=1.0, status=SumStatus.HOLDS)
+    holds = SumReport(sum=1.0, tail_bound=0.0, threshold=2.0, status=SumStatus.HOLDS)
     beta = 0.908536345275895
     assert cli._consistent(None, holds, beta, beta)
     assert not cli._consistent(None, holds, math.nextafter(beta, math.inf), beta)
@@ -291,8 +290,7 @@ def test_check_printed_variant_exempt_for_positive_c(capsys):
 
 def test_check_inconsistency_exits_3(capsys, monkeypatch):
     # force the lemma layer to contradict a passing theorem
-    fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, holds=False,
-                     margin=-97.0, status=SumStatus.FAILS)
+    fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, status=SumStatus.FAILS)
     monkeypatch.setattr(cli, "sum_reports", lambda params, classes, **k: [fake] * len(classes))
     code = main(["check", "--p", "10", "--b", "1", "--c", "-0.1",
                  "--alpha", "0", "--beta", "1", "--class", "star"])
@@ -648,8 +646,7 @@ def test_scan_lemma_upset_in_p(capsys):
 
 def test_scan_inconsistency_exits_3(capsys, monkeypatch):
     # the same forced contradiction as for check: exit 3, CSV still printed
-    fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, holds=False,
-                     margin=-97.0, status=SumStatus.FAILS)
+    fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, status=SumStatus.FAILS)
     monkeypatch.setattr(cli, "sum_reports", lambda params, classes, **k: [fake] * len(classes))
     code = main(["scan", "--b", "1", "--c", "-0.1", "--p-range", "10,10",
                  "--alpha-range", "0,0", "--beta-range", "1,1",

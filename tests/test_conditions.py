@@ -82,9 +82,6 @@ def test_condition_requires_positive_q():
 def test_verdict_structure():
     v = starlike_condition(BesselParams(3.0, 1.0, -0.5), ClassSpec(0.1, 0.7))
     assert v.holds == (v.value >= 0.0)
-    keys = [k for k, _ in v.inputs]
-    assert keys == sorted(keys)
-    assert dict(v.inputs)["c"] == -0.5
 
 
 def test_derived_theorem_implies_lemma(rng):

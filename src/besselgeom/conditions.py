@@ -107,22 +107,25 @@ def _starlike_value(q: float, s: float, cls: ClassSpec) -> float:
         thr = cls.threshold
         return thr * (2.0 + 1.0 / q) + _exp_term(
             -(thr * (1.0 + 1.0 / q) + (1.0 + cls.beta) * s / q), t)
-    return cls.threshold * (2.0 - e + (1.0 - e) / q) - (1.0 + cls.beta) * s / q * e
+    # E - 1 from expm1: 1 - E cancels completely once t is below an ulp of 1
+    return cls.threshold * (2.0 - e - math.expm1(t) / q) - (1.0 + cls.beta) * s / q * e
 
 
 def _convex_value(q: float, s: float, cls: ClassSpec) -> float:
     t = -s / (q + 1.0)
+    r = (q + 1.0) / q
     bracket = (
         (1.0 + cls.beta) * s * s / (q * (q + 1.0))
         + 2.0 * (1.0 + cls.beta * (2.0 - cls.alpha)) * s / q
-        + cls.threshold * (q + 1.0) / q
     )
     try:
         e = math.exp(t)
     except OverflowError:  # only the printed variant, at s = -c < -709.78 (q+1)
-        head = _exp_term(cls.threshold * (1.0 + (q + 1.0) / q), t)
-        return head if math.isinf(head) else head - bracket  # an infinite exp term dominates
-    return cls.threshold * (1.0 + (q + 1.0) / q) * e - bracket
+        head = _exp_term(cls.threshold * (1.0 + r), t)
+        # an infinite exp term dominates
+        return head if math.isinf(head) else head - (bracket + cls.threshold * r)
+    # thr (1 + r) E - thr r, with E - 1 from expm1 so that nothing cancels
+    return cls.threshold * (e + r * math.expm1(t)) - bracket
 
 
 def _general(

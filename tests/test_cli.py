@@ -246,6 +246,25 @@ def test_overflowing_sum_fails_in_check_and_scan(capsys):
     assert all(r[4] == "fails" for r in rows)
 
 
+# Closed-form values at the edges of binary64, with the sign of the exact
+# display (mpmath, E - 1 from expm1).
+EDGE_CHECKS = [
+    # exp(s/(q+1)) rounds to 1 while s/q ~ 0.9: exact -1.6029
+    (["--p=-0.9999999999999999", "--b", "1", "--c", "1e-16", "--class", "star"], False),
+    (["--p", "1e-320", "--b=-1", "--c=1e-320", "--class", "star"], False),
+]
+
+
+@pytest.mark.parametrize("argv,holds", EDGE_CHECKS)
+def test_check_closed_form_edges(capsys, argv, holds):
+    code, rec = run_json(capsys, ["check", *argv, "--alpha", "0", "--beta", "1"])
+    assert code == 0
+    thm = rec["result"]["theorem"]
+    assert thm["value"] == thm["value"]
+    assert thm["holds"] is holds
+    assert rec["result"]["consistent"]
+
+
 def test_check_alpha_out_of_range(capsys):
     code = main(["check", "--p", "1", "--b", "1", "--c", "-1",
                  "--alpha", "1", "--beta", "1", "--class", "star"])
@@ -321,10 +340,10 @@ CHECK_PARAMS = [
 ]
 CHECK_CLASSES = [(0.0, 1.0), (0.5, 0.5), (0.9, 0.05)]
 PINNED_CHECKS = {
-    "theorem": "64f2f25ba86632a4ccde71c49c1cc742f73056ee38ea2d203ed92bfa86ac7a3f",
+    "theorem": "a925bf5c84c996c15acc6b21318b2602162a677a5ccde14886efb097d3ae40c2",
     "lemma": "e2c8d301e5b8f4d8a458a9a3653c0ac3ec72af4f7ff576859299d124c5691282",
     "disk": "e4b44fcc8b81e86b740bacfcfebaeebf2e970038226da598f3823dc0ebaef4ed",
-    "all": "0549bcfaf8243e91a3cc361124a0b388cf8bbfd19587ee9f30627e7e1d14866f",
+    "all": "97316d75c2a762e4e32f279fdf82d78d6f335f7f0d5f8eb192d4186a4a72fd79",
 }
 
 

@@ -207,18 +207,34 @@ def test_audit_report_shape():
 
 
 def _mp_general(q, s, alpha, beta, convex):
-    """The general display at 40 digits, from the module docstring."""
+    """The general display at 40 digits, from the module docstring.
+
+    E - 1 comes from mpmath.expm1: exp cancels at any precision once
+    s/(q+1) falls below its ulp of 1.
+    """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         q, s, a, b = (mpmath.mpf(x) for x in (q, s, alpha, beta))
         thr = 2 * b * (1 - a)
         if not convex:
-            e = mpmath.exp(s / (q + 1))
-            return thr * (2 - e + (1 - e) / q) - (1 + b) * s / q * e
-        e = mpmath.exp(-s / (q + 1))
-        bracket = ((1 + b) * s * s / (q * (q + 1)) + 2 * (1 + b * (2 - a)) * s / q
-                   + thr * (q + 1) / q)
-        return thr * (1 + (q + 1) / q) * e - bracket
+            m = mpmath.expm1(s / (q + 1))
+            return thr * (1 - m - m / q) - (1 + b) * s / q * (1 + m)
+        m = mpmath.expm1(-s / (q + 1))
+        return (thr * (1 + m) + thr * (q + 1) / q * m
+                - (1 + b) * s * s / (q * (q + 1)) - 2 * (1 + b * (2 - a)) * s / q)
+
+
+@pytest.mark.parametrize("q,s", [(1.1102230246251565e-16, 1e-16),
+                                 (1e-300, 1e-290), (1e-300, -1e-290)])
+def test_general_condition_tiny_exponent(q, s):
+    # exp(s/(q+1)) rounds to 1 while s/q does not vanish: 1 - E and
+    # (q+1)/q (E - 1) cancel completely unless E - 1 comes from expm1
+    for alpha, beta in ((0.0, 1.0), (0.5, 0.5)):
+        cls = ClassSpec(alpha, beta)
+        for convex in (False, True):
+            got = (conditions._convex_value if convex else conditions._starlike_value)(q, s, cls)
+            want = _mp_general(q, s, alpha, beta, convex)
+            assert got == pytest.approx(float(want), rel=1e-12), (convex, alpha, beta)
 
 
 def test_general_condition_overflow_sign():

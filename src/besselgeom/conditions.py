@@ -98,34 +98,44 @@ def _exp_term(coef: float, t: float) -> float:
         return math.copysign(math.inf, coef)
 
 
+def _over_q(a: float, s: float, y: float, q: float) -> float:
+    """(a + s y) / q, never 0 * inf where the exact value is finite.
+
+    Below q = 1 the division comes last, so an overflowing numerator means
+    an overflowing quotient; above it the ratios a/q and s/q come first and
+    stay finite.
+    """
+    if q < 1.0:
+        return (a + s * y) / q
+    return a / q + s / q * y
+
+
 def _starlike_value(q: float, s: float, cls: ClassSpec) -> float:
     t = s / (q + 1.0)
     try:
-        e = math.exp(t)
+        m = math.expm1(t)  # E - 1 without cancelling once t is below an ulp of 1
     except OverflowError:
-        # the display is thr (2 + 1/q) - [thr (1 + 1/q) + (1+beta) s/q] E
-        thr = cls.threshold
-        return thr * (2.0 + 1.0 / q) + _exp_term(
-            -(thr * (1.0 + 1.0 / q) + (1.0 + cls.beta) * s / q), t)
-    # E - 1 from expm1: 1 - E cancels completely once t is below an ulp of 1
-    return cls.threshold * (2.0 - e - math.expm1(t) / q) - (1.0 + cls.beta) * s / q * e
+        # (1+beta) (s/q) E > t E exceeds the largest double and outweighs
+        # the positive part thr (2 + 1/q) of the display
+        return -math.inf
+    thr = cls.threshold
+    # thr (1 - m) - [thr m + (1+beta) s E] / q, m and s of one sign
+    return thr * (1.0 - m) - _over_q(thr * m, s, (1.0 + cls.beta) * (m + 1.0), q)
 
 
 def _convex_value(q: float, s: float, cls: ClassSpec) -> float:
     t = -s / (q + 1.0)
-    r = (q + 1.0) / q
-    bracket = (
-        (1.0 + cls.beta) * s * s / (q * (q + 1.0))
-        + 2.0 * (1.0 + cls.beta * (2.0 - cls.alpha)) * s / q
-    )
+    thr = cls.threshold
+    # (1+beta) s^2/(q(q+1)) + 2 (1 + beta(2-alpha)) s/q = (s/q) x
+    x = (1.0 + cls.beta) * (s / (q + 1.0)) + 2.0 * (1.0 + cls.beta * (2.0 - cls.alpha))
     try:
-        e = math.exp(t)
+        m = math.expm1(t)  # E' - 1, as in the starlike display
     except OverflowError:  # only the printed variant, at s = -c < -709.78 (q+1)
-        head = _exp_term(cls.threshold * (1.0 + r), t)
+        head = _exp_term(thr * (2.0 + 1.0 / q), t)
         # an infinite exp term dominates
-        return head if math.isinf(head) else head - (bracket + cls.threshold * r)
-    # thr (1 + r) E - thr r, with E - 1 from expm1 so that nothing cancels
-    return cls.threshold * (e + r * math.expm1(t)) - bracket
+        return head if math.isinf(head) else head - _over_q(thr * (q + 1.0), s, x, q)
+    # thr (1 + 1/q) E' - thr (1 + 1/q) + thr E' - (s/q) x, with E' = m + 1
+    return thr * (m + 1.0) + thr * m + _over_q(thr * m, -s, x, q)
 
 
 def _general(

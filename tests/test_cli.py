@@ -251,7 +251,20 @@ def test_overflowing_sum_fails_in_check_and_scan(capsys):
 EDGE_CHECKS = [
     # exp(s/(q+1)) rounds to 1 while s/q ~ 0.9: exact -1.6029
     (["--p=-0.9999999999999999", "--b", "1", "--c", "1e-16", "--class", "star"], False),
-    (["--p", "1e-320", "--b=-1", "--c=1e-320", "--class", "star"], False),
+    (["--p", "1e-320", "--b=-1", "--c=1e-320", "--class", "star"], False),  # -2
+    # (q+1)/q overflows: exact 2
+    (["--p", "1e-320", "--b=-1", "--c=0", "--class", "convex"], True),
+    # s^2 and q (q+1) overflow: exact -8.53
+    (["--p", "1e308", "--b", "1", "--c", "1e308", "--class", "convex", "--mode", "theorem"],
+     False),
+    # s/q overflows while E underflows: exact 2e300
+    (["--p", "1e-300", "--b=-1", "--c", "1e300", "--class", "star", "--variant", "printed",
+      "--mode", "theorem"], True),
+    # (1 + beta) s/(q+1) + 2 (1 + 2 beta) is exactly 0 while s/q overflows: exact 3.8e321
+    (["--p", "1e-320", "--b=-1", "--c", "3", "--class", "convex", "--variant", "printed",
+      "--mode", "theorem"], True),
+    # exp overflows and so does thr (2 + 1/q): exact -3.9e757
+    (["--p", "1e-320", "--b=-1", "--c", "1000", "--class", "star", "--mode", "theorem"], False),
 ]
 
 
@@ -340,10 +353,10 @@ CHECK_PARAMS = [
 ]
 CHECK_CLASSES = [(0.0, 1.0), (0.5, 0.5), (0.9, 0.05)]
 PINNED_CHECKS = {
-    "theorem": "a925bf5c84c996c15acc6b21318b2602162a677a5ccde14886efb097d3ae40c2",
+    "theorem": "b62cac80fbc8bf87a5c8cfe8f22950ce36a8000026488aa72ef35f09f992e726",
     "lemma": "e2c8d301e5b8f4d8a458a9a3653c0ac3ec72af4f7ff576859299d124c5691282",
     "disk": "e4b44fcc8b81e86b740bacfcfebaeebf2e970038226da598f3823dc0ebaef4ed",
-    "all": "97316d75c2a762e4e32f279fdf82d78d6f335f7f0d5f8eb192d4186a4a72fd79",
+    "all": "703eb8ff499f1d2a5d3470c05fac9be06db9b8510a1965736cf1dad09bd1b364",
 }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -206,8 +207,8 @@ def test_audit_report_shape():
     assert pin["printed_holds"] and not pin["derived_holds"]
 
 
-def _mp_general(q, s, alpha, beta, convex):
-    """The general display at 40 digits, from the module docstring.
+def _mp_terms(q, s, alpha, beta, convex):
+    """The terms of the general display at 40 digits, from the module docstring.
 
     E - 1 comes from mpmath.expm1: exp cancels at any precision once
     s/(q+1) falls below its ulp of 1.
@@ -218,13 +219,23 @@ def _mp_general(q, s, alpha, beta, convex):
         thr = 2 * b * (1 - a)
         if not convex:
             m = mpmath.expm1(s / (q + 1))
-            return thr * (1 - m - m / q) - (1 + b) * s / q * (1 + m)
+            return [thr, -thr * m, -thr * m / q, -(1 + b) * s / q * (1 + m)]
         m = mpmath.expm1(-s / (q + 1))
-        return (thr * (1 + m) + thr * (q + 1) / q * m
-                - (1 + b) * s * s / (q * (q + 1)) - 2 * (1 + b * (2 - a)) * s / q)
+        return [thr * (1 + m), thr * (q + 1) / q * m,
+                -(1 + b) * s * s / (q * (q + 1)), -2 * (1 + b * (2 - a)) * s / q]
 
 
-@pytest.mark.parametrize("q,s", [(1.1102230246251565e-16, 1e-16),
+def _mp_general(q, s, alpha, beta, convex, largest=False):
+    """The display's value at 40 digits, or (value, largest |term|)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        terms = _mp_terms(q, s, alpha, beta, convex)
+        exact = mpmath.fsum(terms)
+        return (exact, max(map(abs, terms))) if largest else exact
+
+
+@pytest.mark.parametrize("q,s", [(1.1102230246251565e-16, 1e-16), (1e-320, 1e-320),
                                  (1e-300, 1e-290), (1e-300, -1e-290)])
 def test_general_condition_tiny_exponent(q, s):
     # exp(s/(q+1)) rounds to 1 while s/q does not vanish: 1 - E and
@@ -235,6 +246,33 @@ def test_general_condition_tiny_exponent(q, s):
             got = (conditions._convex_value if convex else conditions._starlike_value)(q, s, cls)
             want = _mp_general(q, s, alpha, beta, convex)
             assert got == pytest.approx(float(want), rel=1e-12), (convex, alpha, beta)
+
+
+EXPONENT = st.floats(-323.0, 300.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPONENT, st.one_of(st.just(None), EXPONENT), st.booleans(),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_min=True),
+       st.sampled_from(list(Variant)), st.booleans())
+def test_general_condition_sign_at_binary64_edges(eq, ec, negative, alpha, beta, variant, convex):
+    # q and |c| from 1e-323 to 1e300: the value is never NaN, and its sign
+    # is the exact display's wherever that is a normal double not lost
+    # among its terms
+    q = 10.0 ** eq
+    c = 0.0 if ec is None else math.copysign(10.0 ** ec, -1.0 if negative else 1.0)
+    params, cls = BesselParams(q, -1.0, c), ClassSpec(alpha, beta)
+    cond = convex_condition if convex else starlike_condition
+    try:
+        value = cond(params, cls, variant).value
+    except DomainError:  # exp overflows and thr = 2 beta (1 - alpha) underflowed to 0
+        assert cls.threshold == 0.0
+        return
+    assert value == value
+    s = -c if variant is Variant.PRINTED else abs(c)
+    exact, largest = _mp_general(params.q, s, alpha, beta, convex, largest=True)
+    if abs(exact) > max(1e-9 * largest, sys.float_info.min):
+        assert (value >= 0.0) == (exact >= 0)
 
 
 def test_general_condition_overflow_sign():

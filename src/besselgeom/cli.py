@@ -264,9 +264,12 @@ def _range_flag(text: str) -> tuple[float, float]:
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError:
             lo = hi = None
-        if lo is not None and lo <= hi:
+        # lo <= hi is False for a nan; hi - lo is not finite for an infinite
+        # end, or for finite ends whose span overflows
+        if lo is not None and lo <= hi and math.isfinite(hi - lo):
             return lo, hi
-    raise argparse.ArgumentTypeError(f"expected LO,HI with LO <= HI, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected finite LO,HI with LO <= HI and a finite HI - LO, got {text!r}")
 
 
 def _steps_flag(text: str) -> tuple[int, int, int]:

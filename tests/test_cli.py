@@ -700,6 +700,21 @@ def test_scan_bad_flags(capsys):
                  "--class", "star", "--steps", "0"]) == 2
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--p-range", "0,inf"), ("--p-range", "-inf,0"),
+    ("--p-range", "-1.7e308,1.7e308"),  # HI - LO overflows
+    ("--alpha-range", "0,inf"), ("--beta-range", "1,inf"),
+])
+def test_scan_range_must_be_finite(capsys, flag, text):
+    # refused while parsing, naming the flag, not later as a nan order
+    argv = {"--p-range": "0,1", "--alpha-range": "0,0", "--beta-range": "1,1", flag: text}
+    assert main(["scan", "--b", "1", "--c", "-1", "--class", "star", "--steps", "1,1,1",
+                 *(f"{k}={v}" for k, v in argv.items())]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected finite LO,HI" in err
+    assert "nan" not in err
+
+
 @pytest.mark.parametrize("steps", ["1000001,1,1", "1000,1000,2"])
 def test_scan_refuses_oversized_grid(capsys, monkeypatch, steps):
     # more than MAX_GRID_POINTS rows exits 2 before a grid or a layer is built

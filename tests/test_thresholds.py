@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from besselgeom import (
     FIGURES,
+    ClassSpec,
+    CriterionId,
     DomainError,
     NoBracketError,
     SingularityError,
@@ -18,6 +20,7 @@ from besselgeom import (
     find_all_thresholds,
     find_threshold,
     positivity_scan,
+    special_case_condition,
     thresholds,
 )
 from besselgeom.cli import POSITIVITY_HIGH, POSITIVITY_MARGIN, POSITIVITY_STEP, main
@@ -33,6 +36,26 @@ ROOTS = {
 QUOTED = {1: -1.5314, 3: -2.0314, 4: -1.5254, 5: 3.8523, 6: -2.0254}
 LEFT_ROOTS = {1: -3.9663567216839883, 4: -6.228212167411693}
 ROOT_COUNTS = {1: 2, 2: 0, 3: 2, 4: 2, 5: 1, 6: 2}
+
+
+# Each g_i is its *_BETA1 printed display at alpha = 0 times the clearing
+# factor D_i of the thresholds module docstring.
+FIGURE_CASES = {
+    1: (CriterionId.STARLIKE_FIRST_KIND_BETA1, lambda x: 1.0),
+    2: (CriterionId.STARLIKE_MODIFIED_BETA1, lambda x: 1.0),
+    3: (CriterionId.STARLIKE_SPHERICAL_BETA1, lambda x: 1.0),
+    4: (CriterionId.CONVEX_FIRST_KIND_BETA1, lambda x: (x + 1) * (x + 2)),
+    5: (CriterionId.CONVEX_MODIFIED_BETA1, lambda x: (x + 1) * (x + 2)),
+    6: (CriterionId.CONVEX_SPHERICAL_BETA1, lambda x: (2 * x + 3) * (2 * x + 5)),
+}
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_figure_is_its_corollary(fig_id):
+    cid, clearing = FIGURE_CASES[fig_id]
+    for x in (-0.9 + 0.37 * i for i in range(60)):  # orders -0.9 .. 20.93
+        display = special_case_condition(cid, x, ClassSpec(0.0, 1.0)).value
+        assert figure_eval(fig_id, x) == pytest.approx(display * clearing(x), rel=1e-12), x
 
 
 def test_frozen_point_values():

@@ -264,12 +264,10 @@ def _range_flag(text: str) -> tuple[float, float]:
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError:
             lo = hi = None
-        # lo <= hi is False for a nan; hi - lo is not finite for an infinite
-        # end, or for finite ends whose span overflows
+        # nan fails lo <= hi; an infinite end or an overflowing span fails isfinite
         if lo is not None and lo <= hi and math.isfinite(hi - lo):
             return lo, hi
-    raise argparse.ArgumentTypeError(
-        f"expected finite LO,HI with LO <= HI and a finite HI - LO, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected finite LO,HI with LO <= HI, got {text!r}")
 
 
 def _steps_flag(text: str) -> tuple[int, int, int]:
@@ -433,8 +431,7 @@ def scan_record(
     ps = _linspace(p_range[0], p_range[1], steps[0])
     alphas = _linspace(alpha_range[0], alpha_range[1], steps[1])
     betas = _linspace(beta_range[0], beta_range[1], steps[2])
-    pairs = [(a, bt) for a in alphas for bt in betas]
-    classes = [ClassSpec(a, bt) for a, bt in pairs]
+    classes = [ClassSpec(a, bt) for a in alphas for bt in betas]
 
     rows = []
     consistent = True
@@ -443,10 +440,10 @@ def scan_record(
         thms = [cond(params, cls) for cls in classes]
         reps = sums(params, classes)
         sups = sup_estimates(params, classes, kind)
-        for (a, bt), thm, rep, sup in zip(pairs, thms, reps, sups):
-            consistent &= _consistent(thm, rep, sup, bt)
+        for cls, thm, rep, sup in zip(classes, thms, reps, sups):
+            consistent &= _consistent(thm, rep, sup, cls.beta)
             rows.append({
-                "p": p, "alpha": a, "beta": bt,
+                "p": p, "alpha": cls.alpha, "beta": cls.beta,
                 "theorem": "holds" if thm.holds else "fails",
                 "lemma": rep.status.value,
                 "disk_max": sup,

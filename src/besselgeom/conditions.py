@@ -28,8 +28,9 @@ printed display disagrees with direct substitution, and consistency_audit
 documents the disagreement instead of silently picking a side.
 
 Every condition here, the audit's included, is evaluated point by point in
-scalar Python.  Each special case names its Bessel kind, and its (b, c) and
-order domain come from bessel.params_of_kind.
+scalar Python; the general displays take E - 1 from expm1 and never give
+NaN (see _over_q).  Each special case names its Bessel kind, and its (b, c)
+and order domain come from bessel.params_of_kind.
 """
 
 from __future__ import annotations
@@ -99,12 +100,8 @@ def _exp_term(coef: float, t: float) -> float:
 
 
 def _over_q(a: float, s: float, y: float, q: float) -> float:
-    """(a + s y) / q, never 0 * inf where the exact value is finite.
-
-    Below q = 1 the division comes last, so an overflowing numerator means
-    an overflowing quotient; above it the ratios a/q and s/q come first and
-    stay finite.
-    """
+    """(a + s y) / q without 0 * inf: divided last below q = 1, where an
+    overflowing numerator means an overflowing quotient, and first above it."""
     if q < 1.0:
         return (a + s * y) / q
     return a / q + s / q * y

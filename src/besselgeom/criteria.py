@@ -96,8 +96,9 @@ class SumReport:
 
     HOLDS is the rigorous claim sum + tail_bound <= threshold; FAILS requires
     sum - tail_bound > threshold; anything else is INDETERMINATE.  Ties at
-    sum == threshold count as HOLDS (the criteria are non-strict).  A sum
-    whose terms overflow reads sum = inf, hence margin = -inf, and FAILS.
+    sum == threshold count as HOLDS (the criteria are non-strict).  holds
+    and margin = threshold - sum are derived, not stored.  A sum whose terms
+    overflow reads sum = inf, hence margin = -inf, and FAILS.
     """
 
     sum: float

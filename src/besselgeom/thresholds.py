@@ -116,10 +116,7 @@ def _g6(x: float) -> float:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One threshold function g_i: its singularity, label and evaluator.
-
-    Its figure id is its key in FIGURES.
-    """
+    """The singularity, label and evaluator of one g_i; its figure id is its key in FIGURES."""
 
     singularity: float
     label: str

@@ -129,8 +129,11 @@ def _convex_value(q: float, s: float, cls: ClassSpec) -> float:
         m = math.expm1(t)  # E' - 1, as in the starlike display
     except OverflowError:  # only the printed variant, at s = -c < -709.78 (q+1)
         head = _exp_term(thr * (2.0 + 1.0 / q), t)
-        # an infinite exp term dominates
-        return head if math.isinf(head) else head - _over_q(thr * (q + 1.0), s, x, q)
+        bracket = _over_q(thr * (q + 1.0), s, x, q)
+        if head == bracket == math.inf:  # compare logs; thr (1 + 1/q) is below an ulp of head
+            log_ratio = math.log(thr * (2.0 * q + 1.0)) + t - math.log(-s) - math.log(-x)
+            return math.copysign(math.inf, log_ratio)
+        return head - bracket
     # thr (1 + 1/q) E' - thr (1 + 1/q) + thr E' - (s/q) x, with E' = m + 1
     return thr * (m + 1.0) + thr * m + _over_q(thr * m, -s, x, q)
 
@@ -289,16 +292,12 @@ BETA1_PAIRS: dict[CriterionId, tuple[CriterionId, float]] = {
 
 SPECIAL_CRITERIA: tuple[CriterionId, ...] = tuple(_SPECIAL_CASES)
 
-# The ten special cases whose printed display is sign-equivalent to direct
-# substitution, and the two where it is not.
-AGREEING_CRITERIA: tuple[CriterionId, ...] = tuple(
-    cid for cid in _SPECIAL_CASES
-    if cid not in (CriterionId.STARLIKE_MODIFIED, CriterionId.STARLIKE_MODIFIED_BETA1)
-)
+# The two special cases whose printed display is not sign-equivalent to
+# direct substitution, and the ten where it is.
 DISAGREEING_CRITERIA: tuple[CriterionId, ...] = (
-    CriterionId.STARLIKE_MODIFIED,
-    CriterionId.STARLIKE_MODIFIED_BETA1,
-)
+    CriterionId.STARLIKE_MODIFIED, CriterionId.STARLIKE_MODIFIED_BETA1)
+AGREEING_CRITERIA: tuple[CriterionId, ...] = tuple(
+    cid for cid in _SPECIAL_CASES if cid not in DISAGREEING_CRITERIA)
 
 
 def special_case_condition(

@@ -273,7 +273,7 @@ def test_check_closed_form_edges(capsys, argv, holds):
     code, rec = run_json(capsys, ["check", *argv, "--alpha", "0", "--beta", "1"])
     assert code == 0
     thm = rec["result"]["theorem"]
-    assert thm["value"] == thm["value"]
+    assert not math.isnan(thm["value"])
     assert thm["holds"] is holds
     assert rec["result"]["consistent"]
 

@@ -207,11 +207,12 @@ def test_audit_report_shape():
     assert pin["printed_holds"] and not pin["derived_holds"]
 
 
-def _mp_terms(q, s, alpha, beta, convex):
-    """The terms of the general display at 40 digits, from the module docstring.
+def _mp_general(q, s, alpha, beta, convex, largest=False):
+    """The general display at 40 digits, from the module docstring.
 
     E - 1 comes from mpmath.expm1: exp cancels at any precision once
-    s/(q+1) falls below its ulp of 1.
+    s/(q+1) falls below its ulp of 1.  With largest, returns the value and
+    the largest absolute term.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
@@ -219,18 +220,11 @@ def _mp_terms(q, s, alpha, beta, convex):
         thr = 2 * b * (1 - a)
         if not convex:
             m = mpmath.expm1(s / (q + 1))
-            return [thr, -thr * m, -thr * m / q, -(1 + b) * s / q * (1 + m)]
-        m = mpmath.expm1(-s / (q + 1))
-        return [thr * (1 + m), thr * (q + 1) / q * m,
-                -(1 + b) * s * s / (q * (q + 1)), -2 * (1 + b * (2 - a)) * s / q]
-
-
-def _mp_general(q, s, alpha, beta, convex, largest=False):
-    """The display's value at 40 digits, or (value, largest |term|)."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        terms = _mp_terms(q, s, alpha, beta, convex)
+            terms = [thr, -thr * m, -thr * m / q, -(1 + b) * s / q * (1 + m)]
+        else:
+            m = mpmath.expm1(-s / (q + 1))
+            terms = [thr * (1 + m), thr * (q + 1) / q * m,
+                     -(1 + b) * s * s / (q * (q + 1)), -2 * (1 + b * (2 - a)) * s / q]
         exact = mpmath.fsum(terms)
         return (exact, max(map(abs, terms))) if largest else exact
 
@@ -285,6 +279,9 @@ def test_general_condition_overflow_sign():
         (starlike_condition, BesselParams(-0.4, 0.0, 800.0), ClassSpec(0.5, 0.2), Variant.DERIVED),
         (convex_condition, BesselParams(1.0, 1.0, 5000.0), ClassSpec(0.0, 1.0), Variant.PRINTED),
         (convex_condition, BesselParams(-0.9, 1.0, 900.0), ClassSpec(0.9, 0.05), Variant.PRINTED),
+        # both the exp term and the bracket overflow; the bracket is larger
+        (convex_condition, BesselParams(1e-308, -1.0, 710.0), ClassSpec(0.0, 1e-306),
+         Variant.PRINTED),
     ]
     for cond, params, cls, variant in cases:
         verdict = cond(params, cls, variant)

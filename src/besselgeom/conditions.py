@@ -124,7 +124,7 @@ def _convex_value(q: float, s: float, cls: ClassSpec) -> float:
     t = -s / (q + 1.0)
     thr = cls.threshold
     # (1+beta) s^2/(q(q+1)) + 2 (1 + beta(2-alpha)) s/q = (s/q) x
-    x = (1.0 + cls.beta) * (s / (q + 1.0)) + 2.0 * (1.0 + cls.beta * (2.0 - cls.alpha))
+    x = 2.0 * (1.0 + cls.beta * (2.0 - cls.alpha)) - (1.0 + cls.beta) * t
     try:
         m = math.expm1(t)  # E' - 1, as in the starlike display
     except OverflowError:  # only the printed variant, at s = -c < -709.78 (q+1)

@@ -90,7 +90,6 @@ class BesselParams:
 class BesselKind(Enum):
     """Named specializations of the parameter triple."""
 
-    GENERALIZED = "generalized"
     FIRST_KIND = "first-kind"  # w = J_p
     MODIFIED = "modified"      # w = I_p
     SPHERICAL = "spherical"    # w = 2 j_p / sqrt(pi)
@@ -105,19 +104,8 @@ _KINDS: dict[BesselKind, tuple[float, float, float]] = {
 }
 
 
-def params_of_kind(
-    kind: BesselKind,
-    p: float,
-    b: float | None = None,
-    c: float | None = None,
-) -> BesselParams:
+def params_of_kind(kind: BesselKind, p: float) -> BesselParams:
     """Build BesselParams for a named kind, enforcing its order domain."""
-    if kind is BesselKind.GENERALIZED:
-        if b is None or c is None:
-            raise DomainError("generalized kind requires explicit b and c")
-        return BesselParams(p, b, c)
-    if b is not None or c is not None:
-        raise DomainError(f"{kind.value} kind fixes b and c; do not pass them")
     entry = _KINDS.get(kind) if isinstance(kind, BesselKind) else None
     if entry is None:
         raise DomainError(f"unknown kind {kind!r}")

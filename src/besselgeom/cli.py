@@ -4,12 +4,10 @@ Every command assembles an OutputRecord
 
     {"schema_version", "command", "inputs", "result"}
 
-and serializes it deterministically (sorted keys, two-space indent, LF).
-to_json writes that text itself, byte for byte what json.dumps(record,
-sort_keys=True, indent=2) writes, because indent sends json.dumps to its
-pure-Python encoder: the strings go through json's C encoder and the floats
-through float.__repr__, and the layout is written here, a table of flat
-float rows (the figure command's) from one template per row.
+and writes json.dumps(record, sort_keys=True, indent=2) and a LF.  The
+figure table, the one record large enough for json's pure-Python indenting
+encoder to cost time, has its rows written from one fixed row template
+and spliced into the json.dumps text of the rest of the record.
 eval, check and threshold always emit JSON; figure emits JSON or CSV on
 request; scan always emits CSV with the fixed column set
 p,alpha,beta,theorem,lemma,disk_max.  CSV cells use 17 significant digits,
@@ -44,9 +42,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .bessel import BesselParams, SeriesValue, eval_u_derivatives, eval_w
 from .conditions import ConditionVerdict, Variant, convex_condition, starlike_condition
@@ -132,101 +127,32 @@ def _record(command: str, inputs: dict, result: dict) -> dict:
     }
 
 
-_INDENT = "  "
-
-
-def to_json(obj) -> str:
-    """obj as JSON text, byte for byte json.dumps(obj, sort_keys=True, indent=2).
-
-    Takes dicts with str keys, lists, tuples, str, bool, None, int and float;
-    non-finite floats are written Infinity, -Infinity and NaN, as json
-    writes them.  Any other type, or a key that is not a str, raises
-    TypeError.
-    """
-    out: list[str] = []
-    _write(obj, "\n", out)
-    return "".join(out)
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _write(obj, nl: str, out: list[str]) -> None:
-    """Append the text of obj to out; nl starts the line of its closing bracket."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + _INDENT
-        rows = _float_rows(obj, inner)
-        if rows is not None:
-            out.append("[" + inner + rows + nl + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + _INDENT
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out.append(sep + _quote(key) + ": ")  # a key that is not a str raises TypeError
-            _write(value, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _float_rows(rows: list | tuple, nl: str) -> str | None:
-    """The items of rows, joined, if all are dicts with the same keys and finite float values.
-
-    Such a list (the figure table) is written from one %-template per row;
-    any other list gives None and takes the general path of _write.
-    """
-    first = rows[0]
-    if set(map(type, rows)) != {dict} or not first or set(map(len, rows)) != {len(first)}:
-        return None
-    keys = sorted(first)
-    try:
-        values = list(map(itemgetter(*keys), rows))
-    except KeyError:
-        return None
-    flat = values if len(keys) == 1 else list(chain.from_iterable(values))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    inner = nl + _INDENT
-    fields = ("," + inner).join(_quote(k).replace("%", "%%") + ": %r" for k in keys)
-    template = "{" + inner + fields + nl + "}"
-    return ("," + nl).join([template % v for v in values])
-
-
 def _emit_json(record: dict) -> None:
-    sys.stdout.write(to_json(record) + "\n")
+    sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+# One {"g", "x"} row of a figure table at its depth in the record, as
+# json.dumps(indent=2) lays it out.
+_FIGURE_ROW = '{\n        "g": %r,\n        "x": %r\n      }'
+
+
+def _figure_json(record: dict) -> str:
+    """json.dumps(record, sort_keys=True, indent=2) of a figure record, its rows from _FIGURE_ROW.
+
+    The rest of the record is dumped with an empty table, whose "rows": []
+    occurs once in that text (a quote inside a string is escaped), and the
+    rows are joined in there.  A finite float repr contains neither inf nor
+    nan, so mapping those to Infinity and NaN writes the non-finite values as
+    json does.
+    """
+    result = record["result"]
+    text = json.dumps({**record, "result": {**result, "rows": []}}, sort_keys=True, indent=2)
+    if not result["rows"]:
+        return text
+    rows = ",\n      ".join([_FIGURE_ROW % (r["g"], r["x"]) for r in result["rows"]])
+    rows = rows.replace("inf", "Infinity").replace("nan", "NaN")
+    head, tail = text.split('"rows": []')
+    return "".join([head, '"rows": [\n      ', rows, "\n    ]", tail])
 
 
 def _g17(x: float) -> str:
@@ -494,7 +420,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         out += [f"{_g17(r['x'])},{_g17(r['g'])}" for r in record["result"]["rows"]]
         sys.stdout.write("\n".join(out) + "\n")
     else:
-        _emit_json(record)
+        sys.stdout.write(_figure_json(record) + "\n")
     return 0
 
 

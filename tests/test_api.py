@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import besselgeom
+import besselgeom.cli
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -34,6 +35,11 @@ def test_removed_names_stay_removed():
         assert not hasattr(besselgeom, name)
         for module in (besselgeom.bessel, besselgeom.disk, besselgeom.errors):
             assert not hasattr(module, name)
+    # records are written by json.dumps, not by a writer of the CLI's own; the
+    # named kinds are the paper's three, each with its own b and c
+    for owner, name in ((besselgeom.cli, "to_json"), (besselgeom.cli, "_float_rows"),
+                        (besselgeom.BesselKind, "GENERALIZED")):
+        assert not hasattr(owner, name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """CLI: records, schemas, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import pathlib
@@ -23,7 +25,6 @@ from besselgeom.cli import (
     main,
     scan_record,
     threshold_record,
-    to_json,
 )
 from besselgeom.conditions import consistency_audit
 
@@ -654,15 +655,17 @@ def test_scan_csv_bytes_pinned(capsys, args, digest):
 
 
 def test_scan_degenerate_grid_matches_check(capsys):
-    code = main(["scan", "--b", "1", "--c", "-0.1", "--p-range", "10,10",
-                 "--alpha-range", "0,0", "--beta-range", "1,1",
-                 "--class", "star", "--steps", "1"])
-    assert code == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    rec = check_record(10.0, 1.0, -0.1, 0.0, 1.0, "star")
-    assert row[3] == ("holds" if rec["result"]["theorem"]["holds"] else "fails")
-    assert row[4] == rec["result"]["lemma"]["status"]
-    assert float(row[5]) == pytest.approx(rec["result"]["disk"]["max_quotient"], rel=1e-15)
+    # both commands take the sup from disk.sup_estimates, and 17 digits round-trip
+    for klass in ("star", "convex"):
+        code = main(["scan", "--b", "1", "--c", "-0.1", "--p-range", "10,10",
+                     "--alpha-range", "0,0", "--beta-range", "1,1",
+                     "--class", klass, "--steps", "1"])
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        rec = check_record(10.0, 1.0, -0.1, 0.0, 1.0, klass)
+        assert row[3] == ("holds" if rec["result"]["theorem"]["holds"] else "fails")
+        assert row[4] == rec["result"]["lemma"]["status"]
+        assert float(row[5]) == rec["result"]["disk"]["max_quotient"]
 
 
 def test_scan_lemma_upset_in_p(capsys):
@@ -791,83 +794,74 @@ def test_all_builders_validate():
 
 
 # ---------------------------------------------------------------------------
-# JSON writer: json.dumps(sort_keys=True, indent=2) is the oracle
+# JSON records are json.dumps(sort_keys=True, indent=2); the figure table's
+# rows come from one template, which must write the same bytes
 
 
-def oracle(obj):
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
-TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
-    ["", '"', "\\", "a\"b\\c", "\x00\x1f\x7f\n\t", "caf\xe9 \u2203 \U0001d400", "%r %%"])
-FLOATS = st.floats() | st.sampled_from(
-    [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e16, 1e-5, 1e22, 123456789.0,
-     math.inf, -math.inf, math.nan])
-LEAVES = st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200) | FLOATS | TEXT
+def dumps(record):
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 @st.composite
-def float_tables(draw):
-    """A list of flat float-row dicts, perhaps spoiled: (rows, spoiled)."""
-    keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    rows = [{k: draw(finite) for k in keys} for _ in range(draw(st.integers(2, 5)))]
-    how = draw(st.sampled_from(["none", "int", "inf", "nan", "missing", "extra", "list"]))
-    row, key = draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
-    if how == "int":
-        row[key] = 3
-    elif how in ("inf", "nan"):
-        row[key] = float(how)
-    elif how == "missing":
-        del row[key]
-    elif how == "extra":
-        row["+".join(keys) + "+"] = 1.5  # longer than every key, so a new one
-    elif how == "list":
-        row[key] = [1.0]
-    return rows, how != "none"
+def figure_windows(draw):
+    """(figure, low, high, step, case) of a figure table window.
+
+    case "singular" puts a sample within 1e-3 right of the singularity, where
+    exp(1/(x - s)) overflows and g saturates; "skipped" has one sample, within
+    SINGULAR_SKIP of the singularity (or on it), so the table is empty;
+    "finite" keeps at least 0.01 away from the singularity.
+    """
+    figure = draw(st.sampled_from(sorted(thresholds.FIGURES)))
+    s = thresholds.FIGURES[figure].singularity
+    case = draw(st.sampled_from(["singular", "skipped", "finite"]))
+    if case == "singular":
+        x0 = s + draw(st.floats(1e-10, 1e-3))
+        step = draw(st.floats(1e-3, 0.5))
+        before, after = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+        low, high = x0 - before * step, x0 + max(after, 1 - before) * step
+    elif case == "skipped":
+        low = s + draw(st.just(0.0) | st.floats(-9e-13, 9e-13))
+        high = low + draw(st.floats(1e-6, 1.0))
+        step = (high - low) * draw(st.floats(1.5, 10.0))
+    else:
+        step = draw(st.floats(1e-3, 1.0))
+        span = draw(st.integers(1, 40)) * step
+        away = draw(st.floats(0.01, 50.0))
+        low = s + away if draw(st.booleans()) else s - away - span
+        high = low + span
+    return figure, low, high, step, case
 
 
-TABLES = float_tables().map(lambda drawn: drawn[0])
-RECORDS = st.recursive(
-    LEAVES | TABLES,
-    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-    | st.dictionaries(TEXT, kids, max_size=4),
-    max_leaves=20,
-)
+@settings(max_examples=150, deadline=None)
+@given(figure_windows())
+def test_figure_json_is_json_dumps(window):
+    figure, low, high, step, case = window
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["figure", "--figure", str(figure),
+                     f"--low={low!r}", f"--high={high!r}", f"--step={step!r}"])
+    assert code == 0
+    record = figure_record(figure, low, high, step)
+    assert out.getvalue() == dumps(record)
+    gs = [row["g"] for row in record["result"]["rows"]]
+    if case == "singular":
+        assert not all(map(math.isfinite, gs))
+    elif case == "skipped":
+        assert gs == []
 
 
-@settings(max_examples=300, deadline=None)
-@given(RECORDS)
-def test_to_json_equals_json_dumps(obj):
-    assert to_json(obj) == oracle(obj)
-
-
-@settings(max_examples=200, deadline=None)
-@given(float_tables(), st.integers(0, 3))
-def test_to_json_float_rows(drawn, depth):
-    # the template path takes exactly the unspoiled tables, at any depth
-    rows, spoiled = drawn
-    assert (cli._float_rows(rows, "\n" + "  " * (depth + 1)) is None) == spoiled
-    obj = rows
-    for _ in range(depth):
-        obj = {"rows": obj}
-    assert to_json(obj) == oracle(obj)
-
-
-@pytest.mark.parametrize("obj", [
-    object(), {1, 2}, b"bytes", 1j, [1.0, 1j], {"rows": [{"x": 1.0}, {"x": 1j}]},
-    {"x": {(1, 2): 3}}, {1: 2}, [{1: 1.0}, {1: 2.0}],
-])
-def test_to_json_rejects_unsupported(obj):
-    # json rejects all but the int key; to_json takes str keys only
-    with pytest.raises(TypeError):
-        to_json(obj)
+def test_figure_json_nonfinite_rows():
+    # no figure window gives g = nan; the template writes it as json does
+    record = figure_record(1, 0.0, 1.0, 0.5)
+    gs = (math.nan, math.inf, -math.inf, 5e-324)
+    record["result"]["rows"] = [{"g": g, "x": -0.0} for g in gs]
+    assert cli._figure_json(record) + "\n" == dumps(record)
 
 
 def test_audit_report_bytes():
-    # scripts/generate_audit_report.py writes to_json(consistency_audit()) + LF
+    # scripts/generate_audit_report.py writes json.dumps(consistency_audit()) + LF
     committed = pathlib.Path(__file__).resolve().parents[1] / "reports" / "corollary_audit.json"
-    assert committed.read_text("utf-8") == to_json(consistency_audit()) + "\n"
+    assert committed.read_text("utf-8") == dumps(consistency_audit())
 
 
 # ---------------------------------------------------------------------------

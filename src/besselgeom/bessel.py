@@ -26,8 +26,10 @@ sums of criteria.  Each caller gives a weight w(k); the kernel stops only
 once the discarded terms w(k) |a_k| are dominated by a geometric series
 with ratio r <= 1/2, and |first discarded term| / (1 - r) bounds them.
 So every SeriesValue carries a tail bound that is valid by construction.
-Accumulation is compensated (Kahan), so the returned values are accurate to
-a few ulps.
+Accumulation is compensated (Kahan), which bounds each sum's rounding error
+by a few ulps of the sum of its terms' moduli, not of the value, so under
+cancellation the relative error can be large.  tail_bound does not yet count
+rounding (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ DEFAULT_EPS = 1e-13
 _EPS_ULP = sys.float_info.epsilon
 _TINY = math.ulp(0.0)  # the smallest positive double
 _INF = math.inf
-_MIN_NORMAL = sys.float_info.min
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -196,21 +197,6 @@ def _coefficients(q: float, x: complex | float, eps: float, weight):
     raise NoConvergenceError(f"tail bound {eps!r} not certified within {MAX_TERMS} terms")
 
 
-def _kahan_sum(terms):
-    """Compensated (Kahan) sum of real or complex terms, in order.
-
-    eval_u_derivatives writes the same steps inline for its three lanes,
-    which one pass keeps faster than three calls.
-    """
-    total = comp = 0.0
-    for term in terms:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def eval_u(params: BesselParams, z: complex | float, eps: float = DEFAULT_EPS) -> SeriesValue:
     """Evaluate u(z) = sum_{k>=0} (-c)^k z^(k+1) / ((q)_k k!) with tail_bound < eps.
 
@@ -231,10 +217,12 @@ def eval_u_derivatives(
     kernel runs on x = -c z with the u'' weight k (k-1), whose majorant
     ratio also dominates the term ratios of u and u', and with eps |z|: it
     bounds sum_(k>K) k (k-1) |t_k|, which is |z| times the u'' tail, so
-    every lane's tail is below eps.  u'(0) = 1 and u''(0) = 2 (-c) / q
-    exactly.  Where |c z| is below the smallest normal double, t_2 = -c z / q
-    has lost bits to underflow, so the u'' lane takes its k = 2 term
-    2 t_2 / z as 2 (-c) / q.
+    every lane's tail is below eps.  The kernel's recurrence
+    t_k = t_(k-1) (-c z) / ((q + (k-2)) (k-1)) turns the u'' term into
+
+        k (k-1) t_k / z = k (-c) t_(k-1) / (q + (k-2)),
+
+    so no term divides by z.  u'(0) = 1 and u''(0) = 2 (-c) / q exactly.
     """
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
@@ -267,10 +255,11 @@ def eval_u_derivatives(
         ) from None
     n = len(t) - 1  # K: t_1 .. t_K are summed, t_(K+1) is the first discarded
 
-    # three compensated (Kahan) sums in one pass; _kahan_sum on a generator
-    # per lane would make a short series about a fifth slower
-    u = up = upp = c0 = c1 = c2 = zero
-    for k in range(1, n + 1):
+    # three compensated (Kahan) sums in one pass, from the k = 1 terms z, 1
+    # and 0 (t_1 = 1); zero + z turns a -0.0 part of z into 0.0, as a sum does
+    u, up, upp = zero + z, one, zero
+    c0 = c1 = c2 = zero
+    for k in range(2, n + 1):
         tk = t[k - 1]
         y = tk * z - c0
         s = u + y
@@ -280,14 +269,10 @@ def eval_u_derivatives(
         s = up + y
         c1 = (s - up) - y
         up = s
-        y = k * (k - 1.0) * tk / z - c2
+        y = k * (-c) * t[k - 2] / (q + (k - 2.0)) - c2
         s = upp + y
         c2 = (s - upp) - y
         upp = s
-    if c != 0.0 and abs(c * z) < _MIN_NORMAL:
-        upp = _kahan_sum(
-            [(2.0 * (-c) / q) * one] + [k * (k - 1.0) * t[k - 1] / z for k in range(3, n + 1)]
-        )
     return (
         SeriesValue(u, n, bound * az / ((n + 1.0) * n)),
         SeriesValue(up, n, bound / n),

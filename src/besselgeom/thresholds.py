@@ -221,8 +221,7 @@ def _sign_changes(
     with np.errstate(over="ignore", invalid="ignore"):
         fs = func(xs)
         hits = np.flatnonzero((fs[:-1] * fs[1:] < 0.0) | (fs[1:] == 0.0))
-    x = xs.tolist()
-    return [(x[i], x[i + 1]) for i in hits.tolist()]
+    return list(zip(xs[hits].tolist(), xs[hits + 1].tolist()))
 
 
 def positivity_scan(

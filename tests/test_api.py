@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -36,10 +37,22 @@ def test_removed_names_stay_removed():
         for module in (besselgeom.bessel, besselgeom.disk, besselgeom.errors):
             assert not hasattr(module, name)
     # records are written by json.dumps, not by a writer of the CLI's own; the
-    # named kinds are the paper's three, each with its own b and c
+    # named kinds are the paper's three, each with its own b and c; u'' is
+    # summed in the one loop of eval_u_derivatives, with no second sum where
+    # |c z| is subnormal
     for owner, name in ((besselgeom.cli, "to_json"), (besselgeom.cli, "_float_rows"),
-                        (besselgeom.BesselKind, "GENERALIZED")):
+                        (besselgeom.BesselKind, "GENERALIZED"),
+                        (besselgeom.bessel, "_kahan_sum"), (besselgeom.bessel, "_MIN_NORMAL")):
         assert not hasattr(owner, name)
+
+
+def test_readme_quickstart_runs(capsys):
+    # the README's python block, run verbatim, so that the docs cannot rot unnoticed
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == blocks[0].count("print(")
 
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,9 @@ def test_subnormal_z():
 
 @pytest.mark.parametrize("z", [5e-324j, 1e-310j, 1e-310])
 def test_u_second_where_c_z_is_subnormal(z):
-    # t_2 = -c z / q loses bits to underflow (to 0 at 5e-324j) before the
-    # u'' lane divides it by z; u''(z) = 1 + z / 2 + ... rounds to 1 here
+    # t_2 = -c z / q loses bits to underflow (to 0 at 5e-324j), but the u''
+    # lane never divides it by z: its k = 2 term is 2 (-c) t_1 / q, from the
+    # kernel's recurrence; u''(z) = 1 + z / 2 + ... rounds to 1 here
     upp = eval_u_derivatives(BesselParams(1.0, 1.0, -1.0), z)[2]
     assert type(upp.value) is type(z)
     assert abs(upp.value - 1.0) <= upp.tail_bound + 2.0 * sys.float_info.epsilon
@@ -335,6 +336,39 @@ def test_tail_honesty_property(q, c, x):
     sv = eval_u(params, x, eps=1e-12)
     want = ref_u(q - 1.0, 1.0, c, complex(x, 0.0)).real
     assert abs(sv.value - want) <= sv.tail_bound + 1e-13 * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.floats(0.01, 20.0),
+    log_c=st.floats(-300.0, math.log10(2000.0)),
+    c_negative=st.booleans(),
+    log_r=st.one_of(st.just(0.0), st.floats(-330.0, 0.0)),
+    theta=st.floats(-math.pi, math.pi),
+    real=st.booleans(),
+)
+def test_u_second_rounding_under_cancellation(q, log_c, c_negative, log_r, theta, real):
+    # |c| up to 2000 makes the terms of u'' far larger than u'' itself, so the
+    # compensated sum is off by a few ulps of S = sum_k k (k-1) |a_k| |z|^(k-2),
+    # not of u''; |z| = 10^log_r covers |z| = 1, subnormal |z| and z = 0
+    import mpmath
+
+    c = -(10.0 ** log_c) if c_negative else 10.0 ** log_c
+    r = 10.0 ** log_r
+    z = math.copysign(r, theta) if real else complex(r * math.cos(theta), r * math.sin(theta))
+    params = BesselParams(q - 1.0, 1.0, c)
+    sv = eval_u_derivatives(params, z)[2]
+    with mpmath.workdps(40):
+        mq = mpmath.mpf(params.q)
+
+        def u_second(c, z):  # 2 (-c) / q 0F1(q+1; -c z) + z c^2 / (q (q+1)) 0F1(q+2; -c z)
+            return (2 * (-c) / mq * mpmath.hyp0f1(mq + 1, -c * z)
+                    + z * c**2 / (mq * (mq + 1)) * mpmath.hyp0f1(mq + 2, -c * z))
+
+        want = u_second(mpmath.mpf(c), mpmath.mpmathify(z))
+        majorant = u_second(-abs(mpmath.mpf(c)), abs(mpmath.mpmathify(z)))  # S
+        rounding = (sv.terms_used + (1.0 + params.q) / params.q) * 2.0**-52 * majorant
+        assert abs(sv.value - want) <= sv.tail_bound + rounding
 
 
 # ---------------------------------------------------------------------------

@@ -381,9 +381,9 @@ PINNED_RECORDS = {
     "eval-real": (["eval", "--p", "0", "--b", "1", "--c", "1", "--z", "1"],
                   "43f9a86b3a12e2a5c2da16cb305519d6abfeaaf530c904b25e41b62a59481221"),
     "eval-complex": (["eval", "--p", "0.5", "--b", "2", "--c", "-1", "--z", "0.25,0.1"],
-                     "040b6dd76a300c8c223ad7678b748ab39c5d961cfcf6fe0d7d4e2e22c6b31bfa"),
+                     "97ffe32c5d20cae24eff8648b6a2eeb0bd5644ffaf9071db8a53663820a5aada"),
     "eval-w": (["eval", "--p", "1.5", "--b", "1", "--c", "-1", "--z", "2", "--w"],
-               "b30fd7a6645b644a6edf9321e299f3b7ab6111d93d08afc5d4eb44531ea93b99"),
+               "31907a043fa828bc63e8058dc1d8013d45b7c15c412642acef01e760b39bc4e1"),
     "eval-zero": (["eval", "--p", "1", "--b", "1", "--c", "-1", "--z", "0"],
                   "94d452fb94fc169941d2b889e32b203acad7aaa7d97d52944f02a67ab1f57cc0"),
     "check-saturated": (["check", "--p", "0", "--b", "1", "--c=-2000", "--alpha", "0",

@@ -22,11 +22,7 @@ from .bessel import (
     params_of_kind,
 )
 from .conditions import (
-    AGREEING_CRITERIA,
-    BETA1_PAIRS,
-    DISAGREEING_CRITERIA,
     PINNED_DISAGREEMENT,
-    SPECIAL_CRITERIA,
     ConditionVerdict,
     CriterionId,
     Variant,
@@ -41,7 +37,6 @@ from .criteria import (
     SumStatus,
     convex_sum,
     starlike_sum,
-    starlike_sum_closed_form,
     sum_reports,
 )
 from .disk import (
@@ -72,8 +67,6 @@ from .thresholds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGREEING_CRITERIA",
-    "BETA1_PAIRS",
     "BesselGeomError",
     "BesselKind",
     "BesselParams",
@@ -81,7 +74,6 @@ __all__ = [
     "ClassSpec",
     "ConditionVerdict",
     "CriterionId",
-    "DISAGREEING_CRITERIA",
     "DomainError",
     "FIGURES",
     "FigureSpec",
@@ -91,7 +83,6 @@ __all__ = [
     "PoleError",
     "QuotientKind",
     "RootResult",
-    "SPECIAL_CRITERIA",
     "SeriesOverflowError",
     "SeriesValue",
     "SingularityError",
@@ -112,7 +103,6 @@ __all__ = [
     "special_case_condition",
     "starlike_condition",
     "starlike_sum",
-    "starlike_sum_closed_form",
     "sum_reports",
     "sup_estimate",
     "sup_estimates",

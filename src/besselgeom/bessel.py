@@ -34,6 +34,7 @@ rounding (ROADMAP item 4).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -80,6 +81,8 @@ class BesselParams:
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v!r}")
         q = self.p + (self.b + 1.0) / 2.0
+        if not math.isfinite(q):
+            raise DomainError(f"q = p + (b+1)/2 = {q!r} overflows binary64")
         if _is_nonpositive_integer(q):
             raise PoleError(
                 f"q = p + (b+1)/2 = {q!r} is zero or a negative integer; "
@@ -130,26 +133,12 @@ class SeriesValue:
     tail_bound: float
 
 
-def _gamma(x: float) -> float:
-    """Gamma(x) via math.gamma, mapping its pole errors to PoleError.
-
-    Overflow still raises OverflowError; eval_w turns it into DomainError.
-    The underlying implementation is a Lanczos-type approximation accurate
-    to well under 1e-12 relative error on this package's domain and exact
-    at small positive integers.
-    """
-    try:
-        return math.gamma(x)
-    except ValueError as exc:
-        raise PoleError(f"Gamma({x!r}) is at a pole") from exc
-
-
 def _u2_weight(k: int) -> float:
     """Weight of a_k in u''(z) z = sum_k k (k-1) a_k z^(k-1)."""
     return k * (k - 1.0)
 
 
-def _coefficients(q: float, x: complex | float, eps: float, weight):
+def _coefficients(q: float, x: complex | float, eps: float, scale: float, weight):
     """a_1..a_(K+1) of the ratio recurrence and the tail bound past a_K.
 
     The recurrence is a_1 = 1, a_(k+1) = a_k x / ((q + (k - 1)) k); with
@@ -163,7 +152,11 @@ def _coefficients(q: float, x: complex | float, eps: float, weight):
     MIN_TERMS with q + K > 0 at which
 
         r = |x| w(K+2) / ((q + K) (K + 1) w(K+1))  <=  1/2   and
-        bound = w(K+1) |a_(K+1)| / (1 - r)          <   eps.
+        bound = w(K+1) |a_(K+1)| / (1 - r)          <   max(eps scale, 0+).
+
+    The threshold is the caller's eps times its scale, floored at the smallest
+    double 0+ so that a product that underflows still stops at a bound of 0;
+    every error quotes the caller's own eps.
 
     Once q + k > 0 the term ratios |x| / ((q + k) (k + 1)) fall with k,
     and so do the weight ratios w(k+1) / w(k) of every weight used here, so
@@ -177,7 +170,8 @@ def _coefficients(q: float, x: complex | float, eps: float, weight):
     """
     a = [1.0]
     ak = 1.0
-    scale = abs(x)
+    ax = abs(x)
+    tol = max(eps * scale, _TINY)
     for k in range(1, MAX_TERMS + 1):
         denom = (q + (k - 1.0)) * k
         if denom == 0.0:
@@ -189,10 +183,10 @@ def _coefficients(q: float, x: complex | float, eps: float, weight):
                 raise SeriesOverflowError(
                     f"term {k + 1} overflows, so tail bound {eps!r} cannot be certified"
                 )
-            r = scale / ((q + k) * (k + 1.0)) * (weight(k + 2) / weight(k + 1))
+            r = ax / ((q + k) * (k + 1.0)) * (weight(k + 2) / weight(k + 1))
             if r <= 0.5:
                 bound = abs(weight(k + 1) * ak) / (1.0 - r)
-                if bound < eps:
+                if bound < tol:
                     return a, bound
     raise NoConvergenceError(f"tail bound {eps!r} not certified within {MAX_TERMS} terms")
 
@@ -223,6 +217,7 @@ def eval_u_derivatives(
         k (k-1) t_k / z = k (-c) t_(k-1) / (q + (k-2)),
 
     so no term divides by z.  u'(0) = 1 and u''(0) = 2 (-c) / q exactly.
+    A value that overflows raises SeriesOverflowError, as a term does.
     """
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
@@ -236,48 +231,41 @@ def eval_u_derivatives(
     zero = complex(0.0) if is_complex else 0.0
 
     if az == 0.0:
-        second = (2.0 * (-c) / q) * one
-        return SeriesValue(zero, 2, 0.0), SeriesValue(one, 2, 0.0), SeriesValue(second, 2, 0.0)
+        u, up, upp = zero, one, 2.0 * ((-c) / q) * one
+        n, tails = 2, (0.0, 0.0, 0.0)
+    else:
+        # The kernel runs on x = -c z, so its entries are the terms
+        # t_k = a_k z^(k-1) themselves: a_k or |z|^k alone can overflow (or
+        # a_k underflow) where t_k is finite.
+        t, bound = _coefficients(q, -c * z, eps, az, _u2_weight)
+        n = len(t) - 1  # K: t_1 .. t_K are summed, t_(K+1) is the first discarded
+        tails = (bound * az / ((n + 1.0) * n), bound / n, bound / az)
 
-    # The kernel runs on x = -c z, so its entries are the terms
-    # t_k = a_k z^(k-1) themselves: a_k or |z|^k alone can overflow (or a_k
-    # underflow) where t_k is finite.  The floor lets a subnormal |z|, where
-    # every discarded term is 0, stop.  A failure quotes the caller's eps.
-    try:
-        t, bound = _coefficients(q, -c * z, max(eps * az, _TINY), _u2_weight)
-    except SeriesOverflowError:
+        # three compensated (Kahan) sums in one pass, from the k = 1 terms z,
+        # 1 and 0 (t_1 = 1); zero + z turns a -0.0 part of z into 0.0, as a
+        # sum does
+        u, up, upp = zero + z, one, zero
+        c0 = c1 = c2 = zero
+        for k in range(2, n + 1):
+            tk = t[k - 1]
+            y = tk * z - c0
+            s = u + y
+            c0 = (s - u) - y
+            u = s
+            y = k * tk - c1
+            s = up + y
+            c1 = (s - up) - y
+            up = s
+            y = k * ((-c) * t[k - 2] / (q + (k - 2.0))) - c2
+            s = upp + y
+            c2 = (s - upp) - y
+            upp = s
+    # a lane past binary64 reads inf or nan (Kahan's corrections turn inf to nan)
+    if not (cmath.isfinite(u) and cmath.isfinite(up) and cmath.isfinite(upp)):
         raise SeriesOverflowError(
-            f"the terms overflow, so tail bound {eps!r} cannot be certified"
-        ) from None
-    except NoConvergenceError:
-        raise NoConvergenceError(
-            f"tail bound {eps!r} not certified within {MAX_TERMS} terms"
-        ) from None
-    n = len(t) - 1  # K: t_1 .. t_K are summed, t_(K+1) is the first discarded
-
-    # three compensated (Kahan) sums in one pass, from the k = 1 terms z, 1
-    # and 0 (t_1 = 1); zero + z turns a -0.0 part of z into 0.0, as a sum does
-    u, up, upp = zero + z, one, zero
-    c0 = c1 = c2 = zero
-    for k in range(2, n + 1):
-        tk = t[k - 1]
-        y = tk * z - c0
-        s = u + y
-        c0 = (s - u) - y
-        u = s
-        y = k * tk - c1
-        s = up + y
-        c1 = (s - up) - y
-        up = s
-        y = k * (-c) * t[k - 2] / (q + (k - 2.0)) - c2
-        s = upp + y
-        c2 = (s - upp) - y
-        upp = s
-    return (
-        SeriesValue(u, n, bound * az / ((n + 1.0) * n)),
-        SeriesValue(up, n, bound / n),
-        SeriesValue(upp, n, bound / az),
-    )
+            f"u, u' or u'' overflows, so tail bound {eps!r} cannot be certified"
+        )
+    return SeriesValue(u, n, tails[0]), SeriesValue(up, n, tails[1]), SeriesValue(upp, n, tails[2])
 
 
 def eval_w(params: BesselParams, x: float, eps: float = DEFAULT_EPS) -> SeriesValue:
@@ -295,7 +283,7 @@ def eval_w(params: BesselParams, x: float, eps: float = DEFAULT_EPS) -> SeriesVa
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
     try:
-        scale = (x / 2.0) ** (params.p - 2.0) / _gamma(params.q)
+        scale = (x / 2.0) ** (params.p - 2.0) / math.gamma(params.q)
     except (OverflowError, ZeroDivisionError):
         scale = _INF
     if math.isinf(scale):

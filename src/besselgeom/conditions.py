@@ -279,26 +279,6 @@ _SPECIAL_CASES: dict[CriterionId, _SpecialCase] = {
         _SPH, True, True, _p_conv_sph_b1, lambda p: 0.5),
 }
 
-# Value ratio between each full display and its beta = 1 specialization,
-# used by tests to relate the two printed scales.
-BETA1_PAIRS: dict[CriterionId, tuple[CriterionId, float]] = {
-    CriterionId.STARLIKE_FIRST_KIND_BETA1: (CriterionId.STARLIKE_FIRST_KIND, 2.0),
-    CriterionId.STARLIKE_MODIFIED_BETA1: (CriterionId.STARLIKE_MODIFIED, 2.0),
-    CriterionId.STARLIKE_SPHERICAL_BETA1: (CriterionId.STARLIKE_SPHERICAL, 1.0),
-    CriterionId.CONVEX_FIRST_KIND_BETA1: (CriterionId.CONVEX_FIRST_KIND, 2.0),
-    CriterionId.CONVEX_MODIFIED_BETA1: (CriterionId.CONVEX_MODIFIED, 2.0),
-    CriterionId.CONVEX_SPHERICAL_BETA1: (CriterionId.CONVEX_SPHERICAL, 1.0),
-}
-
-SPECIAL_CRITERIA: tuple[CriterionId, ...] = tuple(_SPECIAL_CASES)
-
-# The two special cases whose printed display is not sign-equivalent to
-# direct substitution, and the ten where it is.
-DISAGREEING_CRITERIA: tuple[CriterionId, ...] = (
-    CriterionId.STARLIKE_MODIFIED, CriterionId.STARLIKE_MODIFIED_BETA1)
-AGREEING_CRITERIA: tuple[CriterionId, ...] = tuple(
-    cid for cid in _SPECIAL_CASES if cid not in DISAGREEING_CRITERIA)
-
 
 def special_case_condition(
     criterion: CriterionId,

@@ -24,8 +24,7 @@ so for every class of one (p, b, c) the starlike sum is
 (1 + beta) M1 + thr M0, with thr = 2 beta (1 - alpha) and the two moments
 M1 = sum_{k>=2} (k - 1) m_k and M0 = sum_{k>=2} m_k, which do not depend on
 the class; the convex sum is the same with M1 = sum k (k - 1) m_k and
-M0 = sum k m_k.  (starlike_sum_closed_form is this split evaluated through
-u(1) and u'(1).)  sum_reports therefore runs the series evaluator's
+M0 = sum k m_k.  sum_reports therefore runs the series evaluator's
 coefficient kernel (bessel._coefficients) once, with the weight w_hi(k) =
 k - 1 or k (k - 1) of M1, and forms both moments in one compensated pass.
 The kernel bounds the discarded part of M1 by B.  For k > K, the last
@@ -52,15 +51,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .bessel import (
-    _TINY,
-    MAX_TERMS,
-    BesselParams,
-    _coefficients,
-    _u2_weight,
-    eval_u_derivatives,
-)
-from .errors import DomainError, NoConvergenceError, SeriesOverflowError
+from .bessel import BesselParams, _coefficients, _u2_weight
+from .errors import DomainError, SeriesOverflowError
 
 DEFAULT_EPS = 1e-12
 
@@ -150,15 +142,9 @@ def sum_reports(
         raise DomainError(f"criteria require q > 0, got q = {params.q!r}")
     weight = _u2_weight if convex else _star_weight
     try:
-        # eps / 4 underflows to 0, which no bound meets, for eps below 4 ulp(0);
-        # the floor still stops the kernel at a bound of 0
-        m, bound = _coefficients(params.q, abs(params.c), max(eps / 4.0, _TINY), weight)
+        m, bound = _coefficients(params.q, abs(params.c), eps, 0.25, weight)
     except SeriesOverflowError:  # an overflowing m_k: see the module docstring
         return [_report(math.inf, 0.0, cls) for cls in classes]
-    except NoConvergenceError:
-        raise NoConvergenceError(
-            f"tail bound {eps!r} not certified within {MAX_TERMS} terms"
-        ) from None
 
     # M1 and M0 over m_2 .. m_K in one compensated (Kahan) pass; m_(K+1),
     # the last entry, is the first discarded
@@ -198,21 +184,3 @@ def convex_sum(
 ) -> SumReport:
     """Convex coefficient criterion: holds implies u is in K(alpha, beta)."""
     return sum_reports(params, [cls], True, eps)[0]
-
-
-def starlike_sum_closed_form(params: BesselParams, cls: ClassSpec) -> float:
-    """Closed form of the starlike sum for c < 0, where every a_k is positive.
-
-    The weight split of sum_reports, with M1 = u'(1) - u(1) and
-    M0 = u(1) - 1, gives
-
-        sum = (1 + beta) [u'(1) - u(1)] + 2 beta (1 - alpha) [u(1) - 1],
-
-    which telescopes the weighted sum through the series values at z = 1.
-    """
-    if not params.c < 0.0:
-        raise DomainError(f"closed form requires c < 0, got c = {params.c!r}")
-    if not params.q > 0.0:
-        raise DomainError(f"criteria require q > 0, got q = {params.q!r}")
-    u, up, _ = eval_u_derivatives(params, 1.0, eps=1e-14)
-    return (1.0 + cls.beta) * (up.value - u.value) + cls.threshold * (u.value - 1.0)

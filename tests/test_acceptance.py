@@ -24,13 +24,13 @@ from besselgeom import (
     convex_condition,
     convex_sum,
     eval_u,
+    eval_u_derivatives,
     figure_eval,
     find_threshold,
     params_of_kind,
     positivity_scan,
     starlike_condition,
     starlike_sum,
-    starlike_sum_closed_form,
     sup_estimate,
 )
 from conftest import draw_chain_inputs, ref_coeff, ref_u_derivs
@@ -158,5 +158,8 @@ def test_07_closed_form_agreement():
             for beta in (0.2, 0.6, 1.0):
                 params = BesselParams(p, 1.0, -1.0)
                 cls = ClassSpec(alpha, beta)
-                diff = abs(starlike_sum_closed_form(params, cls) - starlike_sum(params, cls).sum)
+                # the weight split with M1 = u'(1) - u(1) and M0 = u(1) - 1
+                u, up, _ = eval_u_derivatives(params, 1.0, eps=1e-14)
+                closed = (1.0 + beta) * (up.value - u.value) + cls.threshold * (u.value - 1.0)
+                diff = abs(closed - starlike_sum(params, cls).sum)
                 assert diff < 1e-10, (p, alpha, beta)

@@ -39,11 +39,32 @@ def test_removed_names_stay_removed():
     # records are written by json.dumps, not by a writer of the CLI's own; the
     # named kinds are the paper's three, each with its own b and c; u'' is
     # summed in the one loop of eval_u_derivatives, with no second sum where
-    # |c z| is subnormal
+    # |c z| is subnormal; Gamma(q) is math.gamma's, as q is finite
     for owner, name in ((besselgeom.cli, "to_json"), (besselgeom.cli, "_float_rows"),
                         (besselgeom.BesselKind, "GENERALIZED"),
-                        (besselgeom.bessel, "_kahan_sum"), (besselgeom.bessel, "_MIN_NORMAL")):
+                        (besselgeom.bessel, "_kahan_sum"), (besselgeom.bessel, "_MIN_NORMAL"),
+                        (besselgeom.bessel, "_gamma")):
         assert not hasattr(owner, name)
+    # the tests' own tuples of criteria, and a closed form only the tests called
+    for name in ("AGREEING_CRITERIA", "BETA1_PAIRS", "DISAGREEING_CRITERIA",
+                 "SPECIAL_CRITERIA", "starlike_sum_closed_form"):
+        assert name not in besselgeom.__all__
+        for owner in (besselgeom, besselgeom.conditions, besselgeom.criteria):
+            assert not hasattr(owner, name)
+
+
+def test_every_public_name_is_used():
+    # each exported name occurs, as a whole word, at least twice outside
+    # __init__.py: its definition and one use in the docs, the scripts, the
+    # benchmark or the package itself
+    texts = [(SRC.parent / "README.md").read_text(encoding="utf-8")]
+    for pattern in ("scripts/*.py", "benchmark/*", "src/besselgeom/*.py"):
+        for path in sorted(SRC.parent.glob(pattern)):
+            if path.is_file() and path.name != "__init__.py":
+                texts.append(path.read_text(encoding="utf-8"))
+    text = "\n".join(texts)
+    for name in besselgeom.__all__:
+        assert len(re.findall(rf"\b{name}\b", text)) >= 2, name
 
 
 def test_readme_quickstart_runs(capsys):

@@ -53,6 +53,10 @@ def test_nonfinite_rejected():
         BesselParams(math.nan, 1.0, 1.0)
     with pytest.raises(DomainError):
         BesselParams(1.0, math.inf, 1.0)
+    # finite p and b whose q = p + (b+1)/2 overflows, of either sign
+    for p_and_b in (1.7e308, -1.7e308):
+        with pytest.raises(DomainError, match="overflows"):
+            BesselParams(p_and_b, p_and_b, 1.0)
 
 
 def test_kind_domains():
@@ -117,7 +121,7 @@ def kernel_coefficient(params: BesselParams, k: int) -> float:
     The tail bound must fall below the smallest double before the kernel
     stops, so its list runs on until the coefficients underflow.
     """
-    a, _ = _coefficients(params.q, -params.c, math.ulp(0.0), _star_weight)
+    a, _ = _coefficients(params.q, -params.c, math.ulp(0.0), 1.0, _star_weight)
     return a[k - 1]
 
 
@@ -298,12 +302,23 @@ def test_overflowing_terms_stop_at_once():
         return k * (k - 1.0)
 
     with pytest.raises(SeriesOverflowError, match="overflows"):
-        _coefficients(1.0, 4e9, 1e-13, weight)
+        _coefficients(1.0, 4e9, 1e-13, 1.0, weight)
     assert max(steps) < 100  # a_k is inf from k = 44 on
     assert issubclass(SeriesOverflowError, NoConvergenceError)
     # the message quotes the caller's eps, not the kernel's eps |z| = 4e-13
     with pytest.raises(SeriesOverflowError, match="overflow.*tail bound 1e-13 "):
         eval_u(BesselParams(0.0, 1.0, -1e9), 4.0, eps=1e-13)
+
+
+@pytest.mark.parametrize("z", [1.0, 1 + 0j])
+def test_overflowing_value_raises(z):
+    # every term is finite but u'' = 3.27e308 is not a double: the lane reads
+    # inf or nan, which must not be returned
+    with pytest.raises(SeriesOverflowError, match="overflows, so tail bound 1e-12 "):
+        eval_u_derivatives(BesselParams(0.0, 1.0, -123500.0), z, eps=1e-12)
+    # nor at z = 0, where u''(0) = 2 (-c) / q = 4e308
+    with pytest.raises(SeriesOverflowError, match="overflows, so tail bound 1e-12 "):
+        eval_u_derivatives(BesselParams(-0.5, 1.0, -1e308), 0 * z, eps=1e-12)
 
 
 @pytest.mark.parametrize("c, z", [(-1e4, 4.0), (-1e7, 1e-4)])
@@ -351,13 +366,29 @@ def test_u_second_rounding_under_cancellation(q, log_c, c_negative, log_r, theta
     # |c| up to 2000 makes the terms of u'' far larger than u'' itself, so the
     # compensated sum is off by a few ulps of S = sum_k k (k-1) |a_k| |z|^(k-2),
     # not of u''; |z| = 10^log_r covers |z| = 1, subnormal |z| and z = 0
-    import mpmath
-
     c = -(10.0 ** log_c) if c_negative else 10.0 ** log_c
     r = 10.0 ** log_r
     z = math.copysign(r, theta) if real else complex(r * math.cos(theta), r * math.sin(theta))
-    params = BesselParams(q - 1.0, 1.0, c)
+    assert_u_second_within_rounding(BesselParams(q - 1.0, 1.0, c), z)
+
+
+@pytest.mark.parametrize("p, c, z", [
+    (0.0, -122490.0, 1.0),     # u'' = 1.83e307: its terms are finite, k (-c) t_(k-1) is not
+    (0.0, -122490.0, 1 + 0j),
+    (9.0, -1e308, 1e-320),     # u'' = 2.0e307 from a subnormal z
+    (9.0, -1e308, 0.0),        # u''(0) = 2 (-c) / q, where 2 (-c) overflows
+    (9.0, -1e308, 0j),
+])
+def test_u_second_near_overflow(p, c, z):
+    assert_u_second_within_rounding(BesselParams(p, 1.0, c), z)
+
+
+def assert_u_second_within_rounding(params, z):
+    """u'' lies within tail_bound + (K + (1+q)/q) 2^-52 S of 40-digit mpmath."""
+    import mpmath
+
     sv = eval_u_derivatives(params, z)[2]
+    assert type(sv.value) is type(z)
     with mpmath.workdps(40):
         mq = mpmath.mpf(params.q)
 
@@ -365,8 +396,8 @@ def test_u_second_rounding_under_cancellation(q, log_c, c_negative, log_r, theta
             return (2 * (-c) / mq * mpmath.hyp0f1(mq + 1, -c * z)
                     + z * c**2 / (mq * (mq + 1)) * mpmath.hyp0f1(mq + 2, -c * z))
 
-        want = u_second(mpmath.mpf(c), mpmath.mpmathify(z))
-        majorant = u_second(-abs(mpmath.mpf(c)), abs(mpmath.mpmathify(z)))  # S
+        want = u_second(mpmath.mpf(params.c), mpmath.mpmathify(z))
+        majorant = u_second(-abs(mpmath.mpf(params.c)), abs(mpmath.mpmathify(z)))  # S
         rounding = (sv.terms_used + (1.0 + params.q) / params.q) * 2.0**-52 * majorant
         assert abs(sv.value - want) <= sv.tail_bound + rounding
 

@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besselgeom import (
-    AGREEING_CRITERIA,
-    BETA1_PAIRS,
-    DISAGREEING_CRITERIA,
     PINNED_DISAGREEMENT,
-    SPECIAL_CRITERIA,
     BesselParams,
     BetaMismatchError,
     ClassSpec,
@@ -33,6 +29,23 @@ from besselgeom import conditions
 from conftest import draw_chain_inputs
 
 CLS01 = ClassSpec(0.0, 1.0)
+
+# Value ratio between each full display and its beta = 1 specialization.
+BETA1_PAIRS = {
+    CriterionId.STARLIKE_FIRST_KIND_BETA1: (CriterionId.STARLIKE_FIRST_KIND, 2.0),
+    CriterionId.STARLIKE_MODIFIED_BETA1: (CriterionId.STARLIKE_MODIFIED, 2.0),
+    CriterionId.STARLIKE_SPHERICAL_BETA1: (CriterionId.STARLIKE_SPHERICAL, 1.0),
+    CriterionId.CONVEX_FIRST_KIND_BETA1: (CriterionId.CONVEX_FIRST_KIND, 2.0),
+    CriterionId.CONVEX_MODIFIED_BETA1: (CriterionId.CONVEX_MODIFIED, 2.0),
+    CriterionId.CONVEX_SPHERICAL_BETA1: (CriterionId.CONVEX_SPHERICAL, 1.0),
+}
+
+SPECIAL_CRITERIA = tuple(conditions._SPECIAL_CASES)
+
+# The two special cases whose printed display is not sign-equivalent to
+# direct substitution, and the ten where it is.
+DISAGREEING_CRITERIA = (CriterionId.STARLIKE_MODIFIED, CriterionId.STARLIKE_MODIFIED_BETA1)
+AGREEING_CRITERIA = tuple(cid for cid in SPECIAL_CRITERIA if cid not in DISAGREEING_CRITERIA)
 
 # Frozen transcription oracles (hand evaluation of the displays).
 THM_STAR_P1 = -0.5824497003443581    # 5 - 4 e^(1/3) at (1, 1, -1, 0, 1)

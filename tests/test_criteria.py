@@ -13,8 +13,8 @@ from besselgeom import (
     NoConvergenceError,
     SumStatus,
     convex_sum,
+    eval_u_derivatives,
     starlike_sum,
-    starlike_sum_closed_form,
     sum_reports,
 )
 from besselgeom import bessel, criteria
@@ -211,19 +211,11 @@ def test_closed_form_matches_sum_grid():
             for beta in (0.2, 0.6, 1.0):
                 params = BesselParams(p, 1.0, -1.0)
                 cls = ClassSpec(alpha, beta)
-                closed = starlike_sum_closed_form(params, cls)
+                # the weight split with M1 = u'(1) - u(1) and M0 = u(1) - 1
+                u, up, _ = eval_u_derivatives(params, 1.0, eps=1e-14)
+                closed = (1.0 + beta) * (up.value - u.value) + cls.threshold * (u.value - 1.0)
                 rep = starlike_sum(params, cls)
                 assert abs(closed - rep.sum) < 1e-10
-
-
-def test_closed_form_domain():
-    cls = ClassSpec(0.0, 1.0)
-    with pytest.raises(DomainError):
-        starlike_sum_closed_form(BesselParams(1.0, 1.0, 1.0), cls)
-    with pytest.raises(DomainError):
-        starlike_sum_closed_form(BesselParams(1.0, 1.0, 0.0), cls)
-    with pytest.raises(DomainError):
-        starlike_sum_closed_form(BesselParams(-1.7, 1.0, -1.0), cls)
 
 
 @settings(max_examples=80, deadline=None)

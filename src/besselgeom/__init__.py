@@ -33,6 +33,7 @@ from .conditions import (
 )
 from .criteria import (
     ClassSpec,
+    QuotientKind,
     SumReport,
     SumStatus,
     convex_sum,
@@ -40,7 +41,6 @@ from .criteria import (
     sum_reports,
 )
 from .disk import (
-    QuotientKind,
     sup_estimate,
     sup_estimates,
 )

@@ -22,14 +22,14 @@ One private kernel, _coefficients, produces the coefficients a_k of u by
 their ratio recurrence and decides where to truncate, for the series
 evaluations here (which run it on the terms a_k z^(k-1), so that a_k and
 |z|^k never have to be finite on their own) and the weighted coefficient
-sums of criteria.  Each caller gives a weight w(k); the kernel stops only
-once the discarded terms w(k) |a_k| are dominated by a geometric series
-with ratio r <= 1/2, and |first discarded term| / (1 - r) bounds them.
-So every SeriesValue carries a tail bound that is valid by construction.
-Accumulation is compensated (Kahan), which bounds each sum's rounding error
-by a few ulps of the sum of its terms' moduli, not of the value, so under
-cancellation the relative error can be large.  tail_bound does not yet count
-rounding (ROADMAP item 4).
+sums of criteria.  Each caller gives the degree d of its weight
+w(k) = (k - 1) k^(d-1); the kernel stops only once the discarded terms
+w(k) |a_k| are dominated by a geometric series with ratio r <= 1/2, and
+|first discarded term| / (1 - r) bounds them.  So every SeriesValue carries
+a tail bound that is valid by construction.  Accumulation is compensated
+(Kahan), which bounds each sum's rounding error by a few ulps of the sum of
+its terms' moduli, not of the value, so under cancellation the relative
+error can be large.  tail_bound does not yet count rounding (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -133,12 +133,15 @@ class SeriesValue:
     tail_bound: float
 
 
-def _u2_weight(k: int) -> float:
-    """Weight of a_k in u''(z) z = sum_k k (k-1) a_k z^(k-1)."""
-    return k * (k - 1.0)
+def _modulus(v: complex | float) -> float:
+    """abs(v), or inf for a complex whose parts are finite but whose modulus is not."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return _INF
 
 
-def _coefficients(q: float, x: complex | float, eps: float, scale: float, weight):
+def _coefficients(q: float, x: complex | float, eps: float, scale: float, degree: int):
     """a_1..a_(K+1) of the ratio recurrence and the tail bound past a_K.
 
     The recurrence is a_1 = 1, a_(k+1) = a_k x / ((q + (k - 1)) k); with
@@ -148,46 +151,49 @@ def _coefficients(q: float, x: complex | float, eps: float, scale: float, weight
     Forming q + (k - 1) keeps the low bits of a small q that (q + k) - 1
     would round away at k = 1.  A zero denominator raises PoleError.
 
-    This is the one stop rule of the package.  K is the first index above
+    This is the one stop rule of the package.  With the weight
+    w(k) = (k - 1) k^(degree-1), degree 1 or 2, K is the first index above
     MIN_TERMS with q + K > 0 at which
 
-        r = |x| w(K+2) / ((q + K) (K + 1) w(K+1))  <=  1/2   and
-        bound = w(K+1) |a_(K+1)| / (1 - r)          <   max(eps scale, 0+).
+        r = |x| (K + degree) / ((q + K) (K + 1) K)  <=  1/2   and
+        bound = w(K+1) |a_(K+1)| / (1 - r)           <   max(eps scale, 0+).
 
     The threshold is the caller's eps times its scale, floored at the smallest
     double 0+ so that a product that underflows still stops at a bound of 0;
     every error quotes the caller's own eps.
 
-    Once q + k > 0 the term ratios |x| / ((q + k) (k + 1)) fall with k,
-    and so do the weight ratios w(k+1) / w(k) of every weight used here, so
-    the discarded terms w(k) |a_k|, k > K, are dominated by a geometric
-    series of ratio r and sum to at most bound.  a_(K+1), the first
-    discarded coefficient, is the last entry of the list.  Raises
-    NoConvergenceError when no K <= MAX_TERMS qualifies, and its subclass
-    SeriesOverflowError at once at the first index past MIN_TERMS with
-    q + k > 0 whose coefficient is inf or nan: a non-finite a_k stays
-    non-finite, so no later bound could fall below eps.
+    Once q + k > 0 the term ratios |x| / ((q + k) (k + 1)) fall with k, and
+    so do the weight ratios w(k+2) / w(k+1) = (k + degree) / k, so the
+    discarded terms w(k) |a_k|, k > K, are dominated by a geometric series
+    of ratio r and sum to at most bound.  a_(K+1), the first discarded
+    coefficient, is the last entry of the list.  Raises NoConvergenceError
+    when no K <= MAX_TERMS qualifies, and its subclass SeriesOverflowError at
+    once at the first index past MIN_TERMS with q + k > 0 whose coefficient
+    has no finite modulus: a non-finite a_k stays non-finite, so no later
+    bound could fall below eps.
     """
     a = [1.0]
     ak = 1.0
-    ax = abs(x)
+    ax = _modulus(x)
     tol = max(eps * scale, _TINY)
-    for k in range(1, MAX_TERMS + 1):
-        denom = (q + (k - 1.0)) * k
-        if denom == 0.0:
-            raise PoleError(f"(q)_{k} vanishes for q = {q!r}")
-        ak = ak * x / denom
-        a.append(ak)  # a_1 .. a_(k+1)
-        if k > MIN_TERMS and q + k > 0.0:
-            if not abs(ak) < _INF:
-                raise SeriesOverflowError(
-                    f"term {k + 1} overflows, so tail bound {eps!r} cannot be certified"
-                )
-            r = ax / ((q + k) * (k + 1.0)) * (weight(k + 2) / weight(k + 1))
-            if r <= 0.5:
-                bound = abs(weight(k + 1) * ak) / (1.0 - r)
-                if bound < tol:
-                    return a, bound
+    try:
+        for k in range(1, MAX_TERMS + 1):
+            denom = (q + (k - 1.0)) * k
+            if denom == 0.0:
+                raise PoleError(f"(q)_{k} vanishes for q = {q!r}")
+            ak = ak * x / denom
+            a.append(ak)  # a_1 .. a_(k+1)
+            if k > MIN_TERMS and q + k > 0.0:
+                if not abs(ak) < _INF:
+                    raise OverflowError
+                r = ax / ((q + k) * (k + 1.0)) * ((k + degree) / k)
+                if r <= 0.5:
+                    bound = abs((k if degree == 1 else k * (k + 1.0)) * ak) / (1.0 - r)
+                    if bound < tol:
+                        return a, bound
+    except OverflowError:  # also abs() of a complex whose parts are finite but modulus is not
+        msg = f"term {k + 1} overflows, so tail bound {eps!r} cannot be certified"
+        raise SeriesOverflowError(msg) from None
     raise NoConvergenceError(f"tail bound {eps!r} not certified within {MAX_TERMS} terms")
 
 
@@ -208,10 +214,10 @@ def eval_u_derivatives(
 
     With t_k = a_k z^(k-1), u = sum_k t_k z, u' = sum_k k t_k and
     u'' = sum_k k (k-1) t_k / z are summed over the kernel's t_1..t_K.  The
-    kernel runs on x = -c z with the u'' weight k (k-1), whose majorant
-    ratio also dominates the term ratios of u and u', and with eps |z|: it
-    bounds sum_(k>K) k (k-1) |t_k|, which is |z| times the u'' tail, so
-    every lane's tail is below eps.  The kernel's recurrence
+    kernel runs on x = -c z with the u'' weight k (k-1) (degree 2), whose
+    majorant ratio also dominates the term ratios of u and u', and with
+    eps |z|: it bounds sum_(k>K) k (k-1) |t_k|, which is |z| times the u''
+    tail, so every lane's tail is below eps.  The kernel's recurrence
     t_k = t_(k-1) (-c z) / ((q + (k-2)) (k-1)) turns the u'' term into
 
         k (k-1) t_k / z = k (-c) t_(k-1) / (q + (k-2)),
@@ -221,7 +227,7 @@ def eval_u_derivatives(
     """
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
-    az = abs(z)
+    az = _modulus(z)
     if not az <= MAX_ABS_Z:
         raise DomainError(f"|z| = {az!r} lies outside the working region |z| <= {MAX_ABS_Z}")
 
@@ -237,7 +243,7 @@ def eval_u_derivatives(
         # The kernel runs on x = -c z, so its entries are the terms
         # t_k = a_k z^(k-1) themselves: a_k or |z|^k alone can overflow (or
         # a_k underflow) where t_k is finite.
-        t, bound = _coefficients(q, -c * z, eps, az, _u2_weight)
+        t, bound = _coefficients(q, -c * z, eps, az, 2)
         n = len(t) - 1  # K: t_1 .. t_K are summed, t_(K+1) is the first discarded
         tails = (bound * az / ((n + 1.0) * n), bound / n, bound / az)
 

@@ -45,8 +45,8 @@ import sys
 
 from .bessel import BesselParams, SeriesValue, eval_u_derivatives, eval_w
 from .conditions import ConditionVerdict, Variant, convex_condition, starlike_condition
-from .criteria import ClassSpec, SumReport, SumStatus, sum_reports
-from .disk import QuotientKind, sup_estimate, sup_estimates
+from .criteria import ClassSpec, QuotientKind, SumReport, SumStatus, sum_reports
+from .disk import sup_estimate, sup_estimates
 from .errors import BesselGeomError, DomainError
 from .thresholds import (
     FIGURES,
@@ -214,16 +214,11 @@ def _steps_flag(text: str) -> tuple[int, int, int]:
 
 
 def _layers(klass: str) -> tuple:
-    """(condition, coefficient sums, QuotientKind) of a class, read from the globals per call.
-
-    The sums take (params, classes) and return one SumReport per class.
-    """
+    """(condition, QuotientKind) of a --class value; the condition is read from the globals."""
     if klass == "star":
-        sums = functools.partial(sum_reports, convex=False)
-        return starlike_condition, sums, QuotientKind.STARLIKE
+        return starlike_condition, QuotientKind.STARLIKE
     if klass == "convex":
-        sums = functools.partial(sum_reports, convex=True)
-        return convex_condition, sums, QuotientKind.CONVEX
+        return convex_condition, QuotientKind.CONVEX
     raise DomainError(f"class must be star or convex, got {klass!r}")
 
 
@@ -265,7 +260,7 @@ def check_record(
     params = BesselParams(p, b, c)
     cls = ClassSpec(alpha, beta)
     var = Variant(variant)
-    cond, sums, kind = _layers(klass)
+    cond, which = _layers(klass)
     point = {"p": p, "b": b, "c": c, "alpha": alpha, "beta": beta}
     thm = rep = sup = None
     result: dict = {}
@@ -273,10 +268,10 @@ def check_record(
         thm = cond(params, cls, var)
         result["theorem"] = _condition(thm, var, point)
     if mode in ("lemma", "all"):
-        rep = sums(params, [cls])[0]
+        rep = sum_reports(params, [cls], which)[0]
         result["lemma"] = _sum_report(rep)
     if mode in ("disk", "all"):
-        sup = sup_estimate(params, cls, kind)
+        sup = sup_estimate(params, cls, which)
         result["disk"] = {"max_quotient": sup}
     # The printed variant binds the theorem only for c <= 0, where it
     # coincides with the derived one.
@@ -347,7 +342,7 @@ def scan_record(
     klass: str,
     steps: tuple[int, int, int],
 ) -> dict:
-    cond, sums, kind = _layers(klass)
+    cond, which = _layers(klass)
     if steps[0] * steps[1] * steps[2] > MAX_GRID_POINTS:
         raise DomainError(
             f"scan grid of {steps[0]} x {steps[1]} x {steps[2]} rows has more than "
@@ -364,8 +359,8 @@ def scan_record(
     for p in ps:  # the sum and disk layers run once for all rows of one p
         params = BesselParams(p, b, c)
         thms = [cond(params, cls) for cls in classes]
-        reps = sums(params, classes)
-        sups = sup_estimates(params, classes, kind)
+        reps = sum_reports(params, classes, which)
+        sups = sup_estimates(params, classes, which)
         for cls, thm, rep, sup in zip(classes, thms, reps, sups):
             consistent &= _consistent(thm, rep, sup, cls.beta)
             rows.append({

@@ -41,7 +41,7 @@ from enum import Enum
 from typing import Callable
 
 from .bessel import BesselKind, BesselParams, params_of_kind
-from .criteria import ClassSpec
+from .criteria import ClassSpec, QuotientKind
 from .errors import BetaMismatchError, DomainError
 
 
@@ -244,39 +244,42 @@ def _p_conv_sph_b1(p, a, b):
 class _SpecialCase:
     kind: BesselKind
     beta1: bool
-    convex: bool
+    which: QuotientKind
     printed: Callable[[float, float, float], float]
     # Positive factor clearing the general display into the printed scale.
     factor: Callable[[float], float]
 
 
+# The general display of each class, for the DERIVED variant of a special case.
+_GENERAL_VALUE = {QuotientKind.STARLIKE: _starlike_value, QuotientKind.CONVEX: _convex_value}
+
 _FK, _MOD, _SPH = BesselKind.FIRST_KIND, BesselKind.MODIFIED, BesselKind.SPHERICAL
 
 _SPECIAL_CASES: dict[CriterionId, _SpecialCase] = {
     CriterionId.STARLIKE_FIRST_KIND: _SpecialCase(
-        _FK, False, False, _p_star_fk, lambda p: (p + 1) * _f(p)),
+        _FK, False, QuotientKind.STARLIKE, _p_star_fk, lambda p: (p + 1) * _f(p)),
     CriterionId.STARLIKE_MODIFIED: _SpecialCase(
-        _MOD, False, False, _p_star_mod, lambda p: p + 1),
+        _MOD, False, QuotientKind.STARLIKE, _p_star_mod, lambda p: p + 1),
     CriterionId.STARLIKE_SPHERICAL: _SpecialCase(
-        _SPH, False, False, _p_star_sph, lambda p: (p + 1.5) * _g(p)),
+        _SPH, False, QuotientKind.STARLIKE, _p_star_sph, lambda p: (p + 1.5) * _g(p)),
     CriterionId.CONVEX_FIRST_KIND: _SpecialCase(
-        _FK, False, True, _p_conv_fk, lambda p: 1.0),
+        _FK, False, QuotientKind.CONVEX, _p_conv_fk, lambda p: 1.0),
     CriterionId.CONVEX_MODIFIED: _SpecialCase(
-        _MOD, False, True, _p_conv_mod, lambda p: _f(p)),
+        _MOD, False, QuotientKind.CONVEX, _p_conv_mod, lambda p: _f(p)),
     CriterionId.CONVEX_SPHERICAL: _SpecialCase(
-        _SPH, False, True, _p_conv_sph, lambda p: 0.5),
+        _SPH, False, QuotientKind.CONVEX, _p_conv_sph, lambda p: 0.5),
     CriterionId.STARLIKE_FIRST_KIND_BETA1: _SpecialCase(
-        _FK, True, False, _p_star_fk_b1, lambda p: (p + 1) * _f(p) / 2),
+        _FK, True, QuotientKind.STARLIKE, _p_star_fk_b1, lambda p: (p + 1) * _f(p) / 2),
     CriterionId.STARLIKE_MODIFIED_BETA1: _SpecialCase(
-        _MOD, True, False, _p_star_mod_b1, lambda p: (p + 1) / 2),
+        _MOD, True, QuotientKind.STARLIKE, _p_star_mod_b1, lambda p: (p + 1) / 2),
     CriterionId.STARLIKE_SPHERICAL_BETA1: _SpecialCase(
-        _SPH, True, False, _p_star_sph_b1, lambda p: (p + 1.5) * _g(p)),
+        _SPH, True, QuotientKind.STARLIKE, _p_star_sph_b1, lambda p: (p + 1.5) * _g(p)),
     CriterionId.CONVEX_FIRST_KIND_BETA1: _SpecialCase(
-        _FK, True, True, _p_conv_fk_b1, lambda p: 0.5),
+        _FK, True, QuotientKind.CONVEX, _p_conv_fk_b1, lambda p: 0.5),
     CriterionId.CONVEX_MODIFIED_BETA1: _SpecialCase(
-        _MOD, True, True, _p_conv_mod_b1, lambda p: _f(p) / 2),
+        _MOD, True, QuotientKind.CONVEX, _p_conv_mod_b1, lambda p: _f(p) / 2),
     CriterionId.CONVEX_SPHERICAL_BETA1: _SpecialCase(
-        _SPH, True, True, _p_conv_sph_b1, lambda p: 0.5),
+        _SPH, True, QuotientKind.CONVEX, _p_conv_sph_b1, lambda p: 0.5),
 }
 
 
@@ -305,8 +308,7 @@ def special_case_condition(
     if variant is Variant.PRINTED:
         value = case.printed(p, cls.alpha, cls.beta)
     else:
-        general = _convex_value if case.convex else _starlike_value
-        value = general(params.q, -params.c, cls) * case.factor(p)
+        value = _GENERAL_VALUE[case.which](params.q, -params.c, cls) * case.factor(p)
     return ConditionVerdict(criterion, value)
 
 
@@ -351,7 +353,7 @@ def consistency_audit(
         disagreements = 0
         examples: list[dict] = []
         min_abs_printed = math.inf
-        general = _convex_value if case.convex else _starlike_value
+        general = _GENERAL_VALUE[case.which]
         for p in p_values if classes else ():
             params = params_of_kind(case.kind, p)
             q, s, factor = params.q, -params.c, case.factor(p)

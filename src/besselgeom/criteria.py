@@ -25,8 +25,9 @@ so for every class of one (p, b, c) the starlike sum is
 M1 = sum_{k>=2} (k - 1) m_k and M0 = sum_{k>=2} m_k, which do not depend on
 the class; the convex sum is the same with M1 = sum k (k - 1) m_k and
 M0 = sum k m_k.  sum_reports therefore runs the series evaluator's
-coefficient kernel (bessel._coefficients) once, with the weight w_hi(k) =
-k - 1 or k (k - 1) of M1, and forms both moments in one compensated pass.
+coefficient kernel (bessel._coefficients) once, with the degree 1 or 2 of
+the weight w_hi(k) = k - 1 or k (k - 1) of M1, and forms both moments in one
+compensated pass.
 The kernel bounds the discarded part of M1 by B.  For k > K, the last
 index summed, w_hi(k) >= K w_lo(k), where w_lo(k) = 1 or k is the weight of
 M0, so the discarded part of M0 is at most B / K and the class sum's at
@@ -51,10 +52,17 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .bessel import BesselParams, _coefficients, _u2_weight
+from .bessel import BesselParams, _coefficients
 from .errors import DomainError, SeriesOverflowError
 
 DEFAULT_EPS = 1e-12
+
+
+class QuotientKind(Enum):
+    """The class every layer decides; u is convex exactly when z u' is starlike."""
+
+    STARLIKE = "starlike"
+    CONVEX = "convex"
 
 
 @dataclass(frozen=True)
@@ -118,31 +126,29 @@ def _report(total: float, tail: float, cls: ClassSpec) -> SumReport:
     return SumReport(total, tail, thr, status)
 
 
-def _star_weight(k: int) -> float:
-    """Weight k - 1 of m_k in the starlike moment M1."""
-    return k - 1.0
-
-
 def sum_reports(
     params: BesselParams,
     classes: Sequence[ClassSpec],
-    convex: bool,
+    which: QuotientKind,
     eps: float = DEFAULT_EPS,
 ) -> list[SumReport]:
-    """The starlike (or convex) criterion for each class, from one coefficient pass.
+    """The starlike or convex criterion (which) for each class, from one coefficient pass.
 
     Each report's sum is (1 + beta) M1 + thr M0 and its tail bound
     (1 + beta + thr) B < eps; see the module docstring.  Raises DomainError
-    for eps <= 0 or q <= 0, and NoConvergenceError, quoting eps, when the
-    kernel's tail bound is not certified within its term cap.
+    for a which that is not a QuotientKind, eps <= 0 or q <= 0, and
+    NoConvergenceError, quoting eps, when the kernel's tail bound is not
+    certified within its term cap.
     """
+    if not isinstance(which, QuotientKind):
+        raise DomainError(f"which must be a QuotientKind, got {which!r}")
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     if not params.q > 0.0:
         raise DomainError(f"criteria require q > 0, got q = {params.q!r}")
-    weight = _u2_weight if convex else _star_weight
+    convex = which is QuotientKind.CONVEX
     try:
-        m, bound = _coefficients(params.q, abs(params.c), eps, 0.25, weight)
+        m, bound = _coefficients(params.q, abs(params.c), eps, 0.25, 2 if convex else 1)
     except SeriesOverflowError:  # an overflowing m_k: see the module docstring
         return [_report(math.inf, 0.0, cls) for cls in classes]
 
@@ -168,19 +174,11 @@ def sum_reports(
     return reports
 
 
-def starlike_sum(
-    params: BesselParams,
-    cls: ClassSpec,
-    eps: float = DEFAULT_EPS,
-) -> SumReport:
+def starlike_sum(params: BesselParams, cls: ClassSpec, eps: float = DEFAULT_EPS) -> SumReport:
     """Starlike coefficient criterion: holds implies u is in S*(alpha, beta)."""
-    return sum_reports(params, [cls], False, eps)[0]
+    return sum_reports(params, [cls], QuotientKind.STARLIKE, eps)[0]
 
 
-def convex_sum(
-    params: BesselParams,
-    cls: ClassSpec,
-    eps: float = DEFAULT_EPS,
-) -> SumReport:
+def convex_sum(params: BesselParams, cls: ClassSpec, eps: float = DEFAULT_EPS) -> SumReport:
     """Convex coefficient criterion: holds implies u is in K(alpha, beta)."""
-    return sum_reports(params, [cls], True, eps)[0]
+    return sum_reports(params, [cls], QuotientKind.CONVEX, eps)[0]

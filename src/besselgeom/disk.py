@@ -73,21 +73,15 @@ beta.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Sequence
 
 from .bessel import MAX_TERMS, BesselParams
-from .criteria import ClassSpec
+from .criteria import ClassSpec, QuotientKind
 from .errors import DomainError, NoConvergenceError
 
 # Certified error of the continued fraction's r_M: an eighth of an ulp of
 # r_M, which lies in [2/3, 2] (see the module docstring).
 CF_EPS = 2.0 ** -56
-
-
-class QuotientKind(Enum):
-    STARLIKE = "starlike"
-    CONVEX = "convex"
 
 
 def _fraction(q: float, s: float) -> tuple[float, float, int]:
@@ -146,9 +140,11 @@ def sup_estimates(
     quotient in the closed disk (a zero of f / z, or n + 2 (1 - alpha) <= 0
     there) gives sup = inf, and otherwise the sup is |n / (n + 2 (1 - alpha))|
     at that point, whatever beta (see the module docstring).  A class holds
-    exactly when its sup <= beta.  Raises DomainError for q <= 0, where the
-    theorem does not hold.
+    exactly when its sup <= beta.  Raises DomainError for a which that is not
+    a QuotientKind, and for q <= 0, where the theorem does not hold.
     """
+    if not isinstance(which, QuotientKind):
+        raise DomainError(f"which must be a QuotientKind, got {which!r}")
     q = params.q
     if not q > 0.0:
         raise DomainError(f"the disk layer requires q > 0, got q = {q!r}")

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -43,7 +44,9 @@ def test_removed_names_stay_removed():
     for owner, name in ((besselgeom.cli, "to_json"), (besselgeom.cli, "_float_rows"),
                         (besselgeom.BesselKind, "GENERALIZED"),
                         (besselgeom.bessel, "_kahan_sum"), (besselgeom.bessel, "_MIN_NORMAL"),
-                        (besselgeom.bessel, "_gamma")):
+                        (besselgeom.bessel, "_gamma"),
+                        # the kernel takes the degree of its weight, not a callable
+                        (besselgeom.bessel, "_u2_weight"), (besselgeom.criteria, "_star_weight")):
         assert not hasattr(owner, name)
     # the tests' own tuples of criteria, and a closed form only the tests called
     for name in ("AGREEING_CRITERIA", "BETA1_PAIRS", "DISAGREEING_CRITERIA",
@@ -75,6 +78,36 @@ def test_readme_quickstart_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == blocks[0].count("print(")
 
+
+def test_readme_cli_examples_run(capsys):
+    # each besselgeom command of the README's sh blocks through cli.main, with
+    # continuation lines joined, so that the CLI examples cannot rot unnoticed
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("besselgeom ")]
+    assert len(commands) == 6
+    for argv in commands:
+        assert besselgeom.cli.main(argv) == 0, argv
+        assert capsys.readouterr().out
+
+
+def test_quotient_kind_is_one_enum():
+    # starlike or convex is one enum in every layer, and disk.QuotientKind still resolves
+    kind = besselgeom.QuotientKind
+    assert besselgeom.criteria.QuotientKind is kind and besselgeom.disk.QuotientKind is kind
+    cases = besselgeom.conditions._SPECIAL_CASES.values()
+    assert {case.which for case in cases} == set(kind)
+    assert all(not hasattr(case, "convex") for case in cases)
+
+
+@pytest.mark.parametrize("which", [False, True, "convex"])
+def test_which_must_be_a_quotient_kind(which):
+    # a bool, the sums' old selector, would otherwise pick a class silently
+    params, classes = besselgeom.BesselParams(0.0, 1.0, -1.0), [besselgeom.ClassSpec(0.0, 1.0)]
+    for layer in (besselgeom.sum_reports, besselgeom.sup_estimates):
+        with pytest.raises(besselgeom.DomainError, match="QuotientKind"):
+            layer(params, classes, which)
 
 # ---------------------------------------------------------------------------
 # numpy is loaded only where arrays are built: by thresholds, for the sign

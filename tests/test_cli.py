@@ -129,6 +129,26 @@ def test_eval_overflowing_value_exits_2(capsys):
         "error: u, u' or u'' overflows, so tail bound 1e-12 cannot be certified\n")
 
 
+@pytest.mark.parametrize("args,err", [
+    # x = -c z has finite parts but a modulus past binary64
+    (["--p", "0", "--b", "1", "--c=-1e308", "--z", "1.5,1.5"],
+     "term 12 overflows, so tail bound 1e-12 cannot be certified"),
+    # so has z itself
+    (["--p", "0", "--b", "1", "--c", "1", "--z", "1.5e308,1.5e308"],
+     "|z| = inf lies outside the working region |z| <= 4.0"),
+    # q + 18 = 1.4e-9 lifts a_20 from finite parts to a modulus past binary64
+    (["--p=-18.999999998630653", "--b", "1", "--c=-1.1495616070143237e+17",
+      "--z", "1.9154825425710407,-1.888736672171825"],
+     "term 20 overflows, so tail bound 1e-12 cannot be certified"),
+])
+def test_eval_modulus_overflow_exits_2(capsys, args, err):
+    # abs() of such a complex raises OverflowError; the command must not die of it
+    assert main(["eval", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--p=-1.7e308", "--b=-1.7e308", "--c", "1", "--alpha", "0", "--beta", "1",
      "--class", "star"],
@@ -344,7 +364,7 @@ def test_check_printed_variant_exempt_for_positive_c(capsys):
 def test_check_inconsistency_exits_3(capsys, monkeypatch):
     # force the lemma layer to contradict a passing theorem
     fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, status=SumStatus.FAILS)
-    monkeypatch.setattr(cli, "sum_reports", lambda params, classes, **k: [fake] * len(classes))
+    monkeypatch.setattr(cli, "sum_reports", lambda params, classes, which: [fake] * len(classes))
     code = main(["check", "--p", "10", "--b", "1", "--c", "-0.1",
                  "--alpha", "0", "--beta", "1", "--class", "star"])
     assert code == 3
@@ -702,7 +722,7 @@ def test_scan_lemma_upset_in_p(capsys):
 def test_scan_inconsistency_exits_3(capsys, monkeypatch):
     # the same forced contradiction as for check: exit 3, CSV still printed
     fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, status=SumStatus.FAILS)
-    monkeypatch.setattr(cli, "sum_reports", lambda params, classes, **k: [fake] * len(classes))
+    monkeypatch.setattr(cli, "sum_reports", lambda params, classes, which: [fake] * len(classes))
     code = main(["scan", "--b", "1", "--c", "-0.1", "--p-range", "10,10",
                  "--alpha-range", "0,0", "--beta-range", "1,1",
                  "--class", "star", "--steps", "1"])

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,13 +12,14 @@ from besselgeom import (
     ClassSpec,
     DomainError,
     NoConvergenceError,
+    QuotientKind,
     SumStatus,
     convex_sum,
     eval_u_derivatives,
     starlike_sum,
     sum_reports,
 )
-from besselgeom import bessel, criteria
+from besselgeom import bessel
 from besselgeom.criteria import DEFAULT_EPS
 from conftest import ref_coeff, ref_weighted_sum
 
@@ -103,17 +105,11 @@ def test_no_convergence_cap():
 @pytest.mark.parametrize("c", [-1.3e5, 2e5])
 def test_overflowing_sum_fails_at_once(monkeypatch, c):
     # m_k is inf from k = 298 at |c| = 1.3e5: the kernel stops there instead
-    # of running to its 10,000-term cap
-    calls = []
-
-    def counting(k):
-        calls.append(k)
-        return k - 1.0
-
-    monkeypatch.setattr(criteria, "_star_weight", counting)
+    # of running to its 10,000-term cap; with a cap of 1000 terms, running on
+    # would raise the cap's NoConvergenceError instead of reporting FAILS
+    monkeypatch.setattr(bessel, "MAX_TERMS", 1000)
     reps = sum_reports(BesselParams(0.5, 1.0, c), [ClassSpec(0.0, 1.0), ClassSpec(0.9, 0.05)],
-                       False)
-    assert max(calls) < 1000
+                       QuotientKind.STARLIKE)
     for rep in reps:
         assert rep.status is SumStatus.FAILS and not rep.holds
         assert (rep.sum, rep.tail_bound, rep.margin) == (math.inf, 0.0, -math.inf)
@@ -248,21 +244,63 @@ CLASSES = st.builds(ClassSpec, st.floats(0.0, 0.99), st.floats(0.01, 1.0))
     b=st.floats(0.0, 3.0),
     c=st.floats(-30.0, 30.0),
     classes=st.lists(CLASSES, min_size=1, max_size=6),
-    convex=st.booleans(),
+    which=st.sampled_from(QuotientKind),
 )
 # a subnormal sum, one ulp (5e-324) off the reference
-@example(q=3.5, b=0.0, c=2.2250738585e-313, classes=[ClassSpec(0.0, 0.5)], convex=False)
-def test_sum_reports_share_one_pass(q, b, c, classes, convex):
+@example(q=3.5, b=0.0, c=2.2250738585e-313, classes=[ClassSpec(0.0, 0.5)],
+         which=QuotientKind.STARLIKE)
+def test_sum_reports_share_one_pass(q, b, c, classes, which):
     # one coefficient pass for all classes gives each class exactly its
     # one-class report, with a tail bound below eps and the reference sum
     # within tail bound plus the rounding of n terms: relative, n 2^-52, for
     # normal numbers, and absolute, n 2^-1074, below 2^-1022
     params = BesselParams(q - (b + 1.0) / 2.0, b, c)
-    reps = sum_reports(params, classes, convex)
+    reps = sum_reports(params, classes, which)
     assert len(reps) == len(classes)
+    convex = which is QuotientKind.CONVEX
     one = convex_sum if convex else starlike_sum
     for cls, rep in zip(classes, reps):
-        assert rep == sum_reports(params, [cls], convex)[0] == one(params, cls)
+        assert rep == sum_reports(params, [cls], which)[0] == one(params, cls)
         assert rep.tail_bound < DEFAULT_EPS
         want = ref_weighted_sum(params.p, b, c, cls.alpha, cls.beta, convex)
         assert abs(rep.sum - want) <= rep.tail_bound + 80 * 2.0**-52 * rep.sum + 80 * 2.0**-1074
+
+
+def mp_weighted_sum(q, s, alpha, beta, convex):
+    """sum_{k>=2} w(k) m_k at 50 digits, and the number of terms it took."""
+    with mpmath.workdps(50):
+        q, s, alpha, beta = (mpmath.mpf(v) for v in (q, s, alpha, beta))
+        thr = 2 * beta * (1 - alpha)
+        m, total, k = mpmath.mpf(1), mpmath.mpf(0), 1
+        while True:
+            m = m * s / ((q + (k - 1)) * k)  # m_(k+1)
+            k += 1
+            term = ((1 + beta) * (k - 1) + thr) * (k if convex else 1) * m
+            total += term
+            if k * k > s and term < total * mpmath.mpf(10) ** -55:
+                return total, k - 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    q=st.floats(0.01, 20.0),
+    log_c=st.floats(2.0, 4.0),
+    negative=st.booleans(),
+    which=st.sampled_from(QuotientKind),
+    cls=CLASSES,
+)
+def test_sum_reports_large_c_against_mpmath(q, log_c, negative, which, cls):
+    # point-certify's |c| from 1e2 to 1e4, past the float reference above:
+    # the 50-digit sum lies within tail_bound plus the rounding allowance
+    # n 2^-52 of n terms, and the status is a certificate of it
+    c = -(10.0 ** log_c) if negative else 10.0 ** log_c
+    params = BesselParams(q - 1.0, 1.0, c)
+    rep = sum_reports(params, [cls], which)[0]
+    exact, n = mp_weighted_sum(params.q, abs(c), cls.alpha, cls.beta,
+                               which is QuotientKind.CONVEX)
+    assert rep.tail_bound < DEFAULT_EPS
+    assert abs(rep.sum - exact) <= rep.tail_bound + n * 2.0**-52 * rep.sum
+    if rep.status is SumStatus.HOLDS:
+        assert exact <= cls.threshold
+    elif rep.status is SumStatus.FAILS:
+        assert exact > cls.threshold

@@ -24,15 +24,27 @@ jump at x = -2.
 Near the singularity the exponential factor overflows; evaluations then
 return +/-inf with the correct sign rather than raising.
 
-Each g_i takes a float or a float64 array.  The sign scans and
-figure_table evaluate the whole grid in one array call, and the scans
-compare neighbours with array operations.
-Their values are bit-equal to the scalar ones: the array branch of the
-exponential maps math.exp over the entries (np.exp differs from it by an
-ulp at some arguments) and saturates exactly where the scalar one does,
-and every other operation is an elementwise IEEE + - * / in the scalar
-order.  Bisection stays scalar, so roots, brackets and residuals keep their
-bits.
+Each g_i takes a float or a float64 array, and the exponential as an
+optional second argument.  The sign scans decide every grid point's sign
+from two array calls, g(xs, _exp_below) and g(xs, _exp_above).  These shift
+np.exp down and up by a relative _EXP_SLACK = 2**-40, some 4,000 ulps (np.exp
+and math.exp differ by at most an ulp on the scanned grids), and by an
+absolute 2**-1000 that covers subnormal results, so they enclose math.exp.
+Each g_i is A*E - B or B - E*A with one product by E = exp(t), and A, B and
+t are the same operations in both calls.  IEEE round-to-nearest * and - are
+monotone, so the exact value g(math.exp(t)) lies between the two results.
+Where both are finite and of the same strict sign, that is the exact sign.
+Every other point (non-finite, zero, or results on both sides of 0) is
+evaluated exactly by the scalar path, func(float(x)): about one point per
+window, the overflow next to the singularity.  Brackets come from the signs
+alone, so a product of neighbours that underflows cannot hide a change.
+Bisection stays scalar, so roots, brackets and residuals keep their bits.
+
+figure_table prints its values, so it evaluates on the exact array path,
+whose values are bit-equal to the scalar ones: that exponential maps
+math.exp over the entries (np.exp differs from it by an ulp at some
+arguments) and saturates exactly where the scalar one does, and every other
+operation is an elementwise IEEE + - * / in the scalar order.
 
 This is the package's one numpy module.  numpy is imported inside the
 functions that build arrays (sample_grid, _sign_changes, figure_table), not
@@ -73,10 +85,11 @@ def _exp(t):
     """exp saturating to +inf instead of raising on overflow.
 
     An array argument is mapped entrywise through math.exp, so each entry is
-    bit-equal to the scalar result.  numpy is looked up in sys.modules, not
-    imported: before it is loaded no argument can be an array, and a number
-    (bisection passes one on every evaluation) takes the scalar path
-    without loading it.
+    bit-equal to the scalar result.  Only figure_table passes one; the sign
+    scans enclose exp between _exp_below and _exp_above instead.  numpy is
+    looked up in sys.modules, not imported: before it is loaded no argument
+    can be an array, and a number (bisection passes one on every evaluation)
+    takes the scalar path without loading it.
     """
     np = sys.modules.get("numpy")
     if np is not None and isinstance(t, np.ndarray):
@@ -90,28 +103,47 @@ def _exp(t):
         return math.inf
 
 
-def _g1(x: float) -> float:
-    return (2*x + 3) * _exp(1/(x + 2)) - (x + 1)
+# Relative and absolute slack of the scans' enclosure of math.exp by np.exp.
+_EXP_SLACK = 2.0 ** -40
+_EXP_FLOOR = 2.0 ** -1000
 
 
-def _g2(x: float) -> float:
-    return (2*x + 3) - _exp(1/(x + 2)) * (x + 1)
+def _exp_below(t):
+    """A lower bound of math.exp over a float64 array."""
+    import numpy as np
+
+    return np.exp(t) * (1.0 - _EXP_SLACK) - _EXP_FLOOR
 
 
-def _g3(x: float) -> float:
-    return 4*(x + 2) * _exp(2/(2*x + 5)) - (2*x + 3)
+def _exp_above(t):
+    """An upper bound of math.exp over a float64 array."""
+    import numpy as np
+
+    return np.exp(t) * (1.0 + _EXP_SLACK) + _EXP_FLOOR
 
 
-def _g4(x: float) -> float:
-    return (2*x*x + 7*x + 6) * _exp(1/(x + 2)) - (x*x + x - 1)
+def _g1(x, exp=_exp):
+    return (2*x + 3) * exp(1/(x + 2)) - (x + 1)
 
 
-def _g5(x: float) -> float:
-    return (2*x*x + 7*x + 6) - (x*x + 7*x + 11) * _exp(1/(x + 2))
+def _g2(x, exp=_exp):
+    return (2*x + 3) - exp(1/(x + 2)) * (x + 1)
 
 
-def _g6(x: float) -> float:
-    return (8*x*x + 36*x + 40) * _exp(2/(2*x + 5)) - (4*x*x + 8*x - 1)
+def _g3(x, exp=_exp):
+    return 4*(x + 2) * exp(2/(2*x + 5)) - (2*x + 3)
+
+
+def _g4(x, exp=_exp):
+    return (2*x*x + 7*x + 6) * exp(1/(x + 2)) - (x*x + x - 1)
+
+
+def _g5(x, exp=_exp):
+    return (2*x*x + 7*x + 6) - (x*x + 7*x + 11) * exp(1/(x + 2))
+
+
+def _g6(x, exp=_exp):
+    return (8*x*x + 36*x + 40) * exp(2/(2*x + 5)) - (4*x*x + 8*x - 1)
 
 
 @dataclass(frozen=True)
@@ -120,7 +152,7 @@ class FigureSpec:
 
     singularity: float
     label: str
-    func: Callable  # float -> float, and float64 array -> float64 array
+    func: Callable  # (x, exp=_exp): float -> float, and float64 array -> float64 array
 
 
 FIGURES: dict[int, FigureSpec] = {
@@ -211,7 +243,12 @@ def figure_table(fig_id: int, low: float, high: float, step: float) -> list[tupl
 def _sign_changes(
     func: Callable, low: float, high: float, step: float
 ) -> list[tuple[float, float]]:
-    """Brackets [x, x+step] on which func changes sign (or hits 0 at x+step)."""
+    """Brackets [x, x+step] on which func changes sign (or hits 0 at x+step).
+
+    func(xs, exp) must enclose the exact func(x) between its values at
+    exp = _exp_below and _exp_above; a point they leave undecided is
+    evaluated by func(x).
+    """
     import numpy as np
 
     xs = sample_grid(low, high, step)
@@ -219,8 +256,13 @@ def _sign_changes(
         xs = np.append(xs, high)
     # floats overflow to +/-inf silently; so does the array path
     with np.errstate(over="ignore", invalid="ignore"):
-        fs = func(xs)
-        hits = np.flatnonzero((fs[:-1] * fs[1:] < 0.0) | (fs[1:] == 0.0))
+        lo = func(xs, _exp_below)
+        hi = func(xs, _exp_above)
+    signs = np.sign(lo)
+    decided = np.isfinite(lo) & np.isfinite(hi) & (signs * np.sign(hi) > 0.0)
+    for i in np.flatnonzero(~decided).tolist():
+        signs[i] = np.sign(func(float(xs[i])))
+    hits = np.flatnonzero((signs[:-1] * signs[1:] < 0.0) | (signs[1:] == 0.0))
     return list(zip(xs[hits].tolist(), xs[hits + 1].tolist()))
 
 

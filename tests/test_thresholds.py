@@ -124,10 +124,10 @@ def test_tiny_tol_stops_at_adjacent_doubles(monkeypatch, capsys):
     spec = FIGURES[1]
     calls = []
 
-    def guarded(x):
-        calls.append(x)
+    def guarded(*args):
+        calls.append(args[0])
         assert len(calls) < 1000, "bisection stopped making progress"
-        return spec.func(x)
+        return spec.func(*args)
 
     monkeypatch.setitem(FIGURES, 1, dataclasses.replace(spec, func=guarded))
     root = find_threshold(1, tol=1e-300)
@@ -209,7 +209,7 @@ def scalar_sign_changes(func, low, high, step):
     fa = func(xs[0])
     for a, b in zip(xs, xs[1:]):
         fb = func(b)
-        if fa * fb < 0.0 or fb == 0.0:
+        if fa < 0.0 < fb or fb < 0.0 < fa or fb == 0.0:  # signs, not an underflowing product
             out.append((a, b))
         fa = fb
     return out
@@ -320,8 +320,9 @@ def test_brackets_equal_scalar_scan_drawn(fid, left, gap, width, step):
 
 
 def test_brackets_equal_scalar_scan_with_exact_zeros():
-    # zeros on grid points: a bracket ends at each, none starts there
-    def func(x):
+    # zeros on grid points: a bracket ends at each, none starts there; the
+    # scan passes an exponential these functions ignore
+    def func(x, exp=None):
         return (x - 1.0) * (x - 1.5) * (x + 0.25)
 
     for low, high, step in [(-1.0, 2.0, 0.25), (-1.0, 2.1, 0.25), (1.0, 1.5, 0.5)]:
@@ -330,7 +331,79 @@ def test_brackets_equal_scalar_scan_with_exact_zeros():
     assert thresholds._sign_changes(func, -1.0, 2.0, 0.25) == [
         (-0.5, -0.25), (0.75, 1.0), (1.25, 1.5)]
     # a sign change inside the short last interval, which ends at high
-    assert thresholds._sign_changes(lambda x: x - 1.55, -1.0, 1.6, 0.25) == [(1.5, 1.6)]
+    assert thresholds._sign_changes(lambda x, exp=None: x - 1.55, -1.0, 1.6, 0.25) == [
+        (1.5, 1.6)]
+
+
+def test_sign_change_survives_an_underflowing_product():
+    # -5e-202 * 2e-201 underflows to -0.0; the scan compares signs instead
+    def tiny(x, exp=None):
+        return (x - 0.55) * 1e-200
+
+    assert thresholds._sign_changes(tiny, -1.0, 2.0, 0.25) == [(0.5, 0.75)]
+    assert scalar_sign_changes(tiny, -1.0, 2.0, 0.25) == [(0.5, 0.75)]
+
+
+# ---------------------------------------------------------------------------
+# the scans' enclosure of the exact values
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURES))
+def test_enclosure_holds_on_every_window_point(fid):
+    spec = FIGURES[fid]
+    for low, high, step in _windows(spec):
+        xs = _grid(low, high, step)
+        exact = np.array([spec.func(x) for x in xs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = (spec.func(np.array(xs), thresholds._exp_below),
+                    spec.func(np.array(xs), thresholds._exp_above))
+        lo, hi = np.minimum(*ends), np.maximum(*ends)
+        finite = np.isfinite(exact)
+        assert finite.sum() >= len(xs) - 1
+        assert np.all(lo[finite] <= exact[finite]) and np.all(exact[finite] <= hi[finite])
+
+
+class _CallLog:
+    """Wraps a figure function and sorts its calls by argument count and type."""
+
+    def __init__(self, func):
+        self.func = func
+        self.exact_arrays = self.scalars = self.enclosures = 0
+
+    def __call__(self, *args):
+        if len(args) > 1:
+            self.enclosures += 1
+        elif isinstance(args[0], np.ndarray):
+            self.exact_arrays += 1
+        else:
+            self.scalars += 1
+        return self.func(*args)
+
+
+def test_wide_slack_falls_back_to_the_exact_path(monkeypatch):
+    # a slack of 2**-4 leaves hundreds of points undecided; each is evaluated
+    # exactly, so every bracket is still the scalar scan's
+    monkeypatch.setattr(thresholds, "_EXP_SLACK", 2.0 ** -4)
+    fallbacks = 0
+    for spec in FIGURES.values():
+        for low, high, step in _windows(spec):
+            log = _CallLog(spec.func)
+            assert thresholds._sign_changes(log, low, high, step) == (
+                scalar_sign_changes(spec.func, low, high, step))
+            fallbacks += log.scalars
+    assert fallbacks > 300
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURES))
+def test_scans_never_map_the_exact_exp_over_a_grid(fid):
+    # the speed of the scans: two enclosing array calls per window, no exact
+    # array call, and at most two points left to the scalar path
+    spec = FIGURES[fid]
+    for low, high, step in _windows(spec):
+        log = _CallLog(spec.func)
+        thresholds._sign_changes(log, low, high, step)
+        assert (log.enclosures, log.exact_arrays) == (2, 0)
+        assert log.scalars <= 2
 
 
 def test_threshold_json_unchanged_through_counting_passthrough(capsys, monkeypatch):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate reports/corollary_audit.json from the default audit grid.
+"""Regenerate reports/corollary_audit.json from the audit grid.
 
 The report compares the printed specialized conditions against direct
 substitution into the general conditions, criterion by criterion, and

@@ -149,7 +149,10 @@ def _coefficients(q: float, x: complex | float, eps: float, scale: float, degree
     (k-1)!) of u without the intermediate overflow of (q)_(k-1) (k-1)!, and
     with x = -c z (complex when z is) the terms a_k z^(k-1).
     Forming q + (k - 1) keeps the low bits of a small q that (q + k) - 1
-    would round away at k = 1.  A zero denominator raises PoleError.
+    would round away at k = 1.  No denominator is 0: the exact sum of two
+    doubles is a multiple of 2**-1074, so q + (k - 1) rounds to 0 only for
+    q = -(k - 1), a pole that BesselParams refuses, and a product by k >= 1
+    cannot underflow.
 
     This is the one stop rule of the package.  With the weight
     w(k) = (k - 1) k^(degree-1), degree 1 or 2, K is the first index above
@@ -178,10 +181,7 @@ def _coefficients(q: float, x: complex | float, eps: float, scale: float, degree
     tol = max(eps * scale, _TINY)
     try:
         for k in range(1, MAX_TERMS + 1):
-            denom = (q + (k - 1.0)) * k
-            if denom == 0.0:
-                raise PoleError(f"(q)_{k} vanishes for q = {q!r}")
-            ak = ak * x / denom
+            ak = ak * x / ((q + (k - 1.0)) * k)
             a.append(ak)  # a_1 .. a_(k+1)
             if k > MIN_TERMS and q + k > 0.0:
                 if not abs(ak) < _INF:

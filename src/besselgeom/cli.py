@@ -49,6 +49,7 @@ from .criteria import ClassSpec, QuotientKind, SumReport, SumStatus, sum_reports
 from .disk import sup_estimate, sup_estimates
 from .errors import BesselGeomError, DomainError
 from .thresholds import (
+    DEFAULT_TOL,
     FIGURES,
     MAX_GRID_POINTS,
     RootResult,
@@ -467,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("threshold", help="locate the positivity threshold of a figure function")
     pt.add_argument("--figure", type=int, choices=sorted(FIGURES), required=True)
-    pt.add_argument("--tol", type=float, default=1e-10)
+    pt.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pt.set_defaults(handler=_cmd_threshold)
 
     pf = sub.add_parser("figure", help="tabulate a figure function for plotting")

@@ -312,10 +312,12 @@ def special_case_condition(
     return ConditionVerdict(criterion, value)
 
 
-# Default audit grid: 50 orders by 5 alphas by 5 betas.
+# The audit grid: 50 orders by 5 alphas by 5 betas.
 AUDIT_P_VALUES: tuple[float, ...] = tuple(-0.9 + i * (10.8 / 49.0) for i in range(50))
 AUDIT_ALPHAS: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8)
 AUDIT_BETAS: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
+# The audit lists at most this many disagreements per criterion.
+AUDIT_MAX_EXAMPLES = 5
 
 # Reference point where the modified-kind starlike pair visibly splits:
 # printed 10 - 4 exp(1/3) > 0, derived 10 - 8 exp(1/3) < 0.
@@ -327,14 +329,10 @@ PINNED_DISAGREEMENT = {
 }
 
 
-def consistency_audit(
-    p_values: tuple[float, ...] = AUDIT_P_VALUES,
-    alphas: tuple[float, ...] = AUDIT_ALPHAS,
-    betas: tuple[float, ...] = AUDIT_BETAS,
-    max_examples: int = 5,
-) -> dict:
+def consistency_audit() -> dict:
     """Compare printed against derived sign flags for every special case.
 
+    The grid is AUDIT_P_VALUES x AUDIT_ALPHAS x AUDIT_BETAS, 50 x 5 x 5;
     beta = 1 cases are audited on the (p, alpha) sub-grid with beta fixed
     at 1.  Returns a JSON-ready report with per-criterion agreement counts,
     example disagreement points, and the pinned reference disagreement.
@@ -343,18 +341,17 @@ def consistency_audit(
     clearing factor depend on p alone, so they are formed once per order,
     and both displays are evaluated inline at each point.  Every value is
     the one special_case_condition returns there, and examples are the
-    first disagreements in (p, alpha, beta) order.
+    first AUDIT_MAX_EXAMPLES disagreements in (p, alpha, beta) order.
     """
     criteria_report: dict = {}
     for cid, case in _SPECIAL_CASES.items():
-        beta_axis = (1.0,) if case.beta1 else betas
-        # ClassSpec validates every pair, in grid order
-        classes = [ClassSpec(a, b) for a in alphas for b in beta_axis] if p_values else []
+        beta_axis = (1.0,) if case.beta1 else AUDIT_BETAS
+        classes = [ClassSpec(a, b) for a in AUDIT_ALPHAS for b in beta_axis]
         disagreements = 0
         examples: list[dict] = []
         min_abs_printed = math.inf
         general = _GENERAL_VALUE[case.which]
-        for p in p_values if classes else ():
+        for p in AUDIT_P_VALUES:
             params = params_of_kind(case.kind, p)
             q, s, factor = params.q, -params.c, case.factor(p)
             for cls in classes:
@@ -363,12 +360,12 @@ def consistency_audit(
                 min_abs_printed = min(min_abs_printed, abs(printed))
                 if (printed >= 0.0) != (derived >= 0.0):
                     disagreements += 1
-                    if len(examples) < max_examples:
+                    if len(examples) < AUDIT_MAX_EXAMPLES:
                         examples.append({
                             "p": p, "alpha": cls.alpha, "beta": cls.beta,
                             "printed": printed, "derived": derived,
                         })
-        points = len(p_values) * len(classes)
+        points = len(AUDIT_P_VALUES) * len(classes)
         criteria_report[cid.name] = {
             "points": points,
             "agreements": points - disagreements,
@@ -383,9 +380,9 @@ def consistency_audit(
     derived = special_case_condition(pin["criterion"], pin["p"], cls, Variant.DERIVED)
     return {
         "grid": {
-            "p_values": list(p_values),
-            "alphas": list(alphas),
-            "betas": list(betas),
+            "p_values": list(AUDIT_P_VALUES),
+            "alphas": list(AUDIT_ALPHAS),
+            "betas": list(AUDIT_BETAS),
         },
         "criteria": criteria_report,
         "pinned_case": {

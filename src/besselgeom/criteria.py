@@ -32,8 +32,8 @@ The kernel bounds the discarded part of M1 by B.  For k > K, the last
 index summed, w_hi(k) >= K w_lo(k), where w_lo(k) = 1 or k is the weight of
 M0, so the discarded part of M0 is at most B / K and the class sum's at
 most ((1 + beta) + thr / K) B <= (1 + beta + thr) B, which is reported.
-Since 1 + beta + thr <= 4, the kernel runs at eps / 4 and every class's
-tail bound stays below eps.
+Since 1 + beta + thr <= 4, the kernel runs at DEFAULT_EPS / 4 and every
+class's tail bound stays below DEFAULT_EPS.
 
 Every term is nonnegative.  So once a term or a partial sum overflows, the
 exact sum exceeds every threshold: the report is FAILS with sum inf and
@@ -127,28 +127,23 @@ def _report(total: float, tail: float, cls: ClassSpec) -> SumReport:
 
 
 def sum_reports(
-    params: BesselParams,
-    classes: Sequence[ClassSpec],
-    which: QuotientKind,
-    eps: float = DEFAULT_EPS,
+    params: BesselParams, classes: Sequence[ClassSpec], which: QuotientKind
 ) -> list[SumReport]:
     """The starlike or convex criterion (which) for each class, from one coefficient pass.
 
     Each report's sum is (1 + beta) M1 + thr M0 and its tail bound
-    (1 + beta + thr) B < eps; see the module docstring.  Raises DomainError
-    for a which that is not a QuotientKind, eps <= 0 or q <= 0, and
-    NoConvergenceError, quoting eps, when the kernel's tail bound is not
-    certified within its term cap.
+    (1 + beta + thr) B < DEFAULT_EPS; see the module docstring.  Raises
+    DomainError for a which that is not a QuotientKind or q <= 0, and
+    NoConvergenceError, quoting DEFAULT_EPS, when the kernel's tail bound is
+    not certified within its term cap.
     """
     if not isinstance(which, QuotientKind):
         raise DomainError(f"which must be a QuotientKind, got {which!r}")
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
     if not params.q > 0.0:
         raise DomainError(f"criteria require q > 0, got q = {params.q!r}")
     convex = which is QuotientKind.CONVEX
     try:
-        m, bound = _coefficients(params.q, abs(params.c), eps, 0.25, 2 if convex else 1)
+        m, bound = _coefficients(params.q, abs(params.c), DEFAULT_EPS, 0.25, 2 if convex else 1)
     except SeriesOverflowError:  # an overflowing m_k: see the module docstring
         return [_report(math.inf, 0.0, cls) for cls in classes]
 
@@ -174,11 +169,11 @@ def sum_reports(
     return reports
 
 
-def starlike_sum(params: BesselParams, cls: ClassSpec, eps: float = DEFAULT_EPS) -> SumReport:
+def starlike_sum(params: BesselParams, cls: ClassSpec) -> SumReport:
     """Starlike coefficient criterion: holds implies u is in S*(alpha, beta)."""
-    return sum_reports(params, [cls], QuotientKind.STARLIKE, eps)[0]
+    return sum_reports(params, [cls], QuotientKind.STARLIKE)[0]
 
 
-def convex_sum(params: BesselParams, cls: ClassSpec, eps: float = DEFAULT_EPS) -> SumReport:
+def convex_sum(params: BesselParams, cls: ClassSpec) -> SumReport:
     """Convex coefficient criterion: holds implies u is in K(alpha, beta)."""
-    return sum_reports(params, [cls], QuotientKind.CONVEX, eps)[0]
+    return sum_reports(params, [cls], QuotientKind.CONVEX)[0]

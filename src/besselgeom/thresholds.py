@@ -75,6 +75,11 @@ MAX_GRID_POINTS = 1_000_000
 # figure_table drops samples closer than this to the singularity.
 SINGULAR_SKIP = 1e-12
 
+# Largest |x| figure_eval and sample_grid accept.  Every g_i is finite up to
+# it; the polynomial parts of the quadratic ones overflow near 4.7e153, where
+# A*E - B turns into inf - inf.
+MAX_ABS_X = 1e150
+
 
 # Below this exponent math.exp cannot overflow binary64 (log of the largest
 # double is 709.78).
@@ -183,10 +188,10 @@ def _spec(fig_id: int) -> FigureSpec:
 
 
 def figure_eval(fig_id: int, x: float) -> float:
-    """Evaluate g_{fig_id}(x).  Both sides of the singularity are legal."""
+    """Evaluate g_{fig_id}(x) for |x| <= MAX_ABS_X.  Both sides of the singularity are legal."""
     spec = _spec(fig_id)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
+    if not abs(x) <= MAX_ABS_X:
+        raise DomainError(f"x must be finite with |x| <= {MAX_ABS_X:g}, got {x!r}")
     if x == spec.singularity:
         raise SingularityError(
             f"figure {fig_id} has an essential singularity at x = {spec.singularity}"
@@ -197,30 +202,28 @@ def figure_eval(fig_id: int, x: float) -> float:
 def sample_grid(low: float, high: float, step: float) -> np.ndarray:
     """The grid low + i * step, i = 0 .. n, with n = floor((high - low) / step + 1e-9).
 
-    Raises DomainError, before allocating anything, unless low < high and
-    step > 0 are finite and the grid has at most MAX_GRID_POINTS points;
-    and when the last point rounds past the largest double.
+    Raises DomainError, before allocating anything, unless low < high lie
+    within MAX_ABS_X in modulus, step > 0 is finite and the grid has at most
+    MAX_GRID_POINTS points.
     """
-    for name, v in (("low", low), ("high", high), ("step", step)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
+    for name, v in (("low", low), ("high", high)):
+        if not abs(v) <= MAX_ABS_X:
+            raise DomainError(f"x must be finite with |x| <= {MAX_ABS_X:g}, got {name} = {v!r}")
+    if not math.isfinite(step):
+        raise DomainError(f"step must be finite, got {step!r}")
     if low >= high:
         raise DomainError(f"empty range: low {low!r} >= high {high!r}")
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     span = (high - low) / step + 1e-9
-    if not span < MAX_GRID_POINTS:  # also catches high - low overflowing to inf
+    if not span < MAX_GRID_POINTS:  # also catches a quotient overflowing to inf
         raise DomainError(
             f"grid of step {step!r} on [{low!r}, {high!r}] has more than "
             f"{MAX_GRID_POINTS} points"
         )
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        xs = low + np.arange(math.floor(span) + 1) * step  # the IEEE operations of low + i * step
-    if not math.isfinite(xs[-1]):
-        raise DomainError(f"x must be finite, got {float(xs[-1])!r}")
-    return xs
+    return low + np.arange(math.floor(span) + 1) * step  # the IEEE operations of low + i * step
 
 
 def figure_table(fig_id: int, low: float, high: float, step: float) -> list[tuple[float, float]]:
@@ -313,13 +316,14 @@ def find_all_thresholds(fig_id: int, tol: float = DEFAULT_TOL) -> list[RootResul
     return [_bisect(spec.func, a, b, tol) for a, b in brackets]
 
 
-def find_threshold(fig_id: int, tol: float = DEFAULT_TOL) -> RootResult:
-    """The right-most root (the threshold beyond which g stays positive).
+def find_threshold(fig_id: int) -> RootResult:
+    """The right-most root (the threshold beyond which g stays positive), at DEFAULT_TOL.
 
-    Raises NoBracketError when no sign change exists in the searched
-    windows, as happens for figure 2.
+    For another tolerance take find_all_thresholds(fig_id, tol)[-1].  Raises
+    NoBracketError when no sign change exists in the searched windows, as
+    happens for figure 2.
     """
-    roots = find_all_thresholds(fig_id, tol)
+    roots = find_all_thresholds(fig_id)
     if not roots:
         spec = _spec(fig_id)
         raise NoBracketError(

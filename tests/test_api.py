@@ -1,5 +1,6 @@
 """The public API: what besselgeom exports, and what it no longer does."""
 
+import inspect
 import json
 import os
 import pathlib
@@ -90,6 +91,20 @@ def test_readme_cli_examples_run(capsys):
     for argv in commands:
         assert besselgeom.cli.main(argv) == 0, argv
         assert capsys.readouterr().out
+
+
+def test_fixed_tolerances_and_grid_are_not_parameters():
+    # the sums run at criteria.DEFAULT_EPS, the audit on the AUDIT_* grid and
+    # find_threshold at thresholds.DEFAULT_TOL: no caller asks for another
+    signatures = {
+        besselgeom.sum_reports: ["params", "classes", "which"],
+        besselgeom.starlike_sum: ["params", "cls"],
+        besselgeom.convex_sum: ["params", "cls"],
+        besselgeom.consistency_audit: [],
+        besselgeom.find_threshold: ["fig_id"],
+    }
+    for func, names in signatures.items():
+        assert list(inspect.signature(func).parameters) == names, func.__name__
 
 
 def test_quotient_kind_is_one_enum():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import struct
 import subprocess
@@ -533,6 +534,16 @@ def test_figure_rejects_overflowing_sample(capsys):
     assert "x must be finite" in capsys.readouterr().err
 
 
+def test_figure_refuses_samples_where_g_overflows(capsys):
+    # g_4's polynomial parts overflow at 1e300, where A*E - B reads inf - inf:
+    # the table is refused, not printed with NaN rows
+    assert main(["figure", "--figure", "4", "--low", "1e300", "--high", "2e300",
+                 "--step", "5e299"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: x must be finite with |x| <= 1e+150, got low = 1e+300\n"
+
+
 @pytest.mark.parametrize("bound", ["--low=-inf", "--low=nan", "--high=inf", "--step=1e-300"])
 def test_figure_rejects_unbounded_grid(capsys, bound):
     # each exits 2 before any grid is allocated (1e-300 asks for 1e300 points)
@@ -747,6 +758,7 @@ def test_scan_bad_flags(capsys):
     ("--p-range", "0,inf"), ("--p-range", "-inf,0"),
     ("--p-range", "-1.7e308,1.7e308"),  # HI - LO overflows
     ("--alpha-range", "0,inf"), ("--beta-range", "1,inf"),
+    ("--p-range", "a,1"), ("--alpha-range", "0,x"),  # not numbers
 ])
 def test_scan_range_must_be_finite(capsys, flag, text):
     # refused while parsing, naming the flag, not later as a nan order
@@ -756,6 +768,12 @@ def test_scan_range_must_be_finite(capsys, flag, text):
     err = capsys.readouterr().err
     assert f"argument {flag}: expected finite LO,HI" in err
     assert "nan" not in err
+
+
+def test_scan_steps_must_be_integers(capsys):
+    assert main([*SCAN_ARGS[:-1], "1,x,1"]) == 2
+    assert "argument --steps: expected N or N1,N2,N3 (each >= 1), got '1,x,1'" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("steps", ["1000001,1,1", "1000,1000,2"])
@@ -812,14 +830,27 @@ def test_json_output_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def _run_module(module, *argv):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "besselgeom", "eval", "--p", "0", "--b", "1",
-         "--c", "1", "--z", "1"],
-        capture_output=True, text=True, timeout=120)
+    # python -m besselgeom (__main__.py) and python -m besselgeom.cli (its
+    # __main__ block) exit with main's code
+    proc = _run_module("besselgeom", "eval", "--p", "0", "--b", "1", "--c", "1", "--z", "1")
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     jsonschema.validate(rec, SCHEMA)
+    proc = _run_module("besselgeom", "threshold", "--figure", "1")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_THRESHOLDS[1]
+    for module in ("besselgeom", "besselgeom.cli"):
+        proc = _run_module(module, "eval", "--p", "0", "--b", "1", "--c", "1", "--z", "5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_all_builders_validate():

@@ -161,8 +161,7 @@ def _domain_text(fn, *args):
 
 def test_order_domain_errors_are_params_of_kind():
     # an order at or below a kind's bound, or not finite, raises
-    # params_of_kind's DomainError word for word; the audit raises that of
-    # the first case whose kind refuses the order
+    # params_of_kind's DomainError word for word
     for p in (-1.0, -1.2, -1.5, -2.0, math.inf, math.nan):
         refused = []
         for cid, case in conditions._SPECIAL_CASES.items():
@@ -172,7 +171,6 @@ def test_order_domain_errors_are_params_of_kind():
                 refused.append(str(exc))
                 assert _domain_text(special_case_condition, cid, p, CLS01) == str(exc)
         assert refused, p
-        assert _domain_text(consistency_audit, (p,), (0.0,), (1.0,)) == refused[0]
 
 
 def test_beta1_pairs_scale():
@@ -207,12 +205,11 @@ def test_disagreeing_criteria_exist():
 
 
 def test_audit_report_shape():
-    report = consistency_audit(
-        p_values=(-0.5, 0.5, 2.0), alphas=(0.0, 0.5), betas=(0.5, 1.0))
+    report = consistency_audit()
     assert set(report) == {"grid", "criteria", "pinned_case"}
     assert len(report["criteria"]) == 12
     for name, entry in report["criteria"].items():
-        expect = 6 if name.endswith("BETA1") else 12
+        expect = 250 if name.endswith("BETA1") else 1250
         assert entry["points"] == expect
         assert entry["agreements"] + entry["disagreements"] == entry["points"]
         assert len(entry["disagreement_examples"]) <= 5
@@ -326,7 +323,7 @@ def test_general_condition_overflow_zero_coefficient():
 # the array audit against a scalar loop, one call per point (the oracle)
 
 
-def scalar_consistency_audit(p_values, alphas, betas, max_examples=5):
+def scalar_consistency_audit(p_values, alphas, betas):
     """The per-point audit: two special_case_condition calls per grid point."""
     criteria_report = {}
     for cid, case in conditions._SPECIAL_CASES.items():
@@ -344,7 +341,7 @@ def scalar_consistency_audit(p_values, alphas, betas, max_examples=5):
                     min_abs_printed = min(min_abs_printed, abs(printed.value))
                     if printed.holds == derived.holds:
                         agreements += 1
-                    elif len(examples) < max_examples:
+                    elif len(examples) < 5:
                         examples.append({
                             "p": p, "alpha": alpha, "beta": beta,
                             "printed": printed.value, "derived": derived.value,
@@ -368,29 +365,6 @@ def test_audit_equals_scalar_oracle_default_grid():
     want = scalar_consistency_audit(
         conditions.AUDIT_P_VALUES, conditions.AUDIT_ALPHAS, conditions.AUDIT_BETAS)
     assert _audit_text(report["criteria"]) == _audit_text(want)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    p_values=st.lists(st.floats(-0.999, 40.0), max_size=4),
-    alphas=st.lists(st.floats(0.0, 0.999), max_size=3),
-    betas=st.lists(st.floats(1e-3, 1.0), max_size=3),
-    max_examples=st.integers(0, 6),
-)
-def test_audit_equals_scalar_oracle_drawn(p_values, alphas, betas, max_examples):
-    p_values, alphas, betas = tuple(p_values), tuple(alphas), tuple(betas)
-    report = consistency_audit(p_values, alphas, betas, max_examples)
-    want = scalar_consistency_audit(p_values, alphas, betas, max_examples)
-    assert _audit_text(report["criteria"]) == _audit_text(want)
-
-
-def test_audit_domain_errors_match_scalar_oracle():
-    for args in [((-1.2,), (0.0,), (1.0,)), ((1.0,), (1.0,), (1.0,)), ((1.0,), (0.5,), (0.0,))]:
-        with pytest.raises(DomainError) as want:
-            scalar_consistency_audit(*args)
-        with pytest.raises(DomainError) as got:
-            consistency_audit(*args)
-        assert str(got.value) == str(want.value)
 
 
 def test_audit_calls_special_case_condition_only_for_the_pin(monkeypatch):

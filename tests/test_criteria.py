@@ -47,13 +47,6 @@ def test_q_requirement():
         convex_sum(BesselParams(-1.7, 1.0, -1.0), cls)
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
-def test_eps_must_be_positive(eps):
-    for crit in (starlike_sum, convex_sum):
-        with pytest.raises(DomainError):
-            crit(BesselParams(0.0, 1.0, -1.0), ClassSpec(0.0, 1.0), eps=eps)
-
-
 def test_starlike_example_holds():
     rep = starlike_sum(BesselParams(10.0, 1.0, -0.1), ClassSpec(0.0, 1.0))
     assert rep.status is SumStatus.HOLDS
@@ -127,21 +120,21 @@ def test_overflowing_weighted_sum_fails():
 
 
 def test_cap_message_quotes_callers_eps(monkeypatch):
-    # the kernel runs at eps / 4; a capped run still names the eps asked for
+    # the kernel runs at DEFAULT_EPS / 4; a capped run still names DEFAULT_EPS
     monkeypatch.setattr(bessel, "MAX_TERMS", 20)
-    with pytest.raises(NoConvergenceError, match=r"tail bound 0\.001 not certified"):
-        starlike_sum(BesselParams(1.0, 1.0, -1000.0), ClassSpec(0.0, 1.0), eps=1e-3)
+    with pytest.raises(NoConvergenceError, match=r"tail bound 1e-12 not certified"):
+        starlike_sum(BesselParams(1.0, 1.0, -1000.0), ClassSpec(0.0, 1.0))
 
 
 def test_smallest_eps_still_stops():
-    # eps / 4 underflows to 0 for the smallest double: the kernel still stops
-    # once the terms underflow to 0, and the tail bound is 0 < eps
-    params, cls = BesselParams(1.0, 1.0, -1.0), ClassSpec(0.3, 0.5)
-    default = starlike_sum(params, cls)
+    # eps |z| underflows to 0 for the smallest double and |z| < 1: the kernel
+    # still stops once the terms underflow to 0, and every tail bound is 0 < eps
+    params, z = BesselParams(1.0, 1.0, -1.0), 0.5
+    default = eval_u_derivatives(params, z)
     for eps in (5e-324, 1.5e-323):
-        rep = starlike_sum(params, cls, eps=eps)
-        assert rep.tail_bound < eps
-        assert abs(rep.sum - default.sum) <= default.tail_bound + 4 * math.ulp(default.sum)
+        for got, want in zip(eval_u_derivatives(params, z, eps=eps), default):
+            assert got.tail_bound < eps
+            assert abs(got.value - want.value) <= want.tail_bound + 4 * math.ulp(want.value)
 
 
 def test_zero_c_trivial():

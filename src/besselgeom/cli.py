@@ -28,8 +28,8 @@ rows of one p differ only in alpha and beta.  main builds the argparse parser
 once per process, on its first call (not at import), and reuses it: parsing
 never changes it.
 
-This module never imports numpy: thresholds, the package's one numpy
-module, loads it for the sign scans of threshold and the table of figure.
+This module never imports numpy: thresholds loads it for the sign scans of
+threshold and the table of figure (and conditions for the corollary audit).
 Importing numpy costs about twice the rest of the package, and eval, check
 and scan evaluate single points in pure Python.  scan takes its axes from
 _linspace, which returns np.linspace's floats bit for bit.

@@ -27,10 +27,14 @@ sign for ten of the twelve cases; for the modified-kind starlike pair the
 printed display disagrees with direct substitution, and consistency_audit
 documents the disagreement instead of silently picking a side.
 
-Every condition here, the audit's included, is evaluated point by point in
-scalar Python; the general displays take E - 1 from expm1 and never give
-NaN (see _over_q).  Each special case names its Bessel kind, and its (b, c)
-and order domain come from bessel.params_of_kind.
+A condition at one point is evaluated in scalar Python and loads no numpy;
+the general displays take E - 1 from expm1 and never give NaN (see _over_q).
+consistency_audit passes the same display functions float64 arrays instead:
+orders as a column, classes as a row, so one call covers the whole grid.
+Their exponentials go through thresholds._entrywise, which maps math over
+the entries, so every array entry is bit-equal to the float evaluation at
+that point.  Each special case names its Bessel kind, and its (b, c) and
+order domain come from bessel.params_of_kind.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Callable
 from .bessel import BesselKind, BesselParams, params_of_kind
 from .criteria import ClassSpec, QuotientKind
 from .errors import BetaMismatchError, DomainError
+from .thresholds import _entrywise
 
 
 class Variant(Enum):
@@ -99,34 +104,44 @@ def _exp_term(coef: float, t: float) -> float:
         return math.copysign(math.inf, coef)
 
 
-def _over_q(a: float, s: float, y: float, q: float) -> float:
+def _over_q(a, s, y, q):
     """(a + s y) / q without 0 * inf: divided last below q = 1, where an
-    overflowing numerator means an overflowing quotient, and first above it."""
-    if q < 1.0:
-        return (a + s * y) / q
-    return a / q + s / q * y
+    overflowing numerator means an overflowing quotient, and first above it.
+    An array q picks the formula entry by entry."""
+    if isinstance(q, float):
+        if q < 1.0:
+            return (a + s * y) / q
+        return a / q + s / q * y
+    import numpy as np
+
+    return np.where(q < 1.0, (a + s * y) / q, a / q + s / q * y)
 
 
-def _starlike_value(q: float, s: float, cls: ClassSpec) -> float:
+# The general displays take (q, s) and (alpha, beta) as floats, or as
+# broadcasting float64 arrays; thr = 2 beta (1 - alpha) rounds as
+# ClassSpec.threshold does.
+
+
+def _starlike_value(q, s, alpha, beta):
     t = s / (q + 1.0)
     try:
-        m = math.expm1(t)  # E - 1 without cancelling once t is below an ulp of 1
+        m = _entrywise(math.expm1, t)  # E - 1 without cancelling once t is below an ulp of 1
     except OverflowError:
         # (1+beta) (s/q) E > t E exceeds the largest double and outweighs
         # the positive part thr (2 + 1/q) of the display
         return -math.inf
-    thr = cls.threshold
+    thr = 2.0 * beta * (1.0 - alpha)
     # thr (1 - m) - [thr m + (1+beta) s E] / q, m and s of one sign
-    return thr * (1.0 - m) - _over_q(thr * m, s, (1.0 + cls.beta) * (m + 1.0), q)
+    return thr * (1.0 - m) - _over_q(thr * m, s, (1.0 + beta) * (m + 1.0), q)
 
 
-def _convex_value(q: float, s: float, cls: ClassSpec) -> float:
+def _convex_value(q, s, alpha, beta):
     t = -s / (q + 1.0)
-    thr = cls.threshold
+    thr = 2.0 * beta * (1.0 - alpha)
     # (1+beta) s^2/(q(q+1)) + 2 (1 + beta(2-alpha)) s/q = (s/q) x
-    x = 2.0 * (1.0 + cls.beta * (2.0 - cls.alpha)) - (1.0 + cls.beta) * t
+    x = 2.0 * (1.0 + beta * (2.0 - alpha)) - (1.0 + beta) * t
     try:
-        m = math.expm1(t)  # E' - 1, as in the starlike display
+        m = _entrywise(math.expm1, t)  # E' - 1, as in the starlike display
     except OverflowError:  # only the printed variant, at s = -c < -709.78 (q+1)
         head = _exp_term(thr * (2.0 + 1.0 / q), t)
         bracket = _over_q(thr * (q + 1.0), s, x, q)
@@ -140,7 +155,7 @@ def _convex_value(q: float, s: float, cls: ClassSpec) -> float:
 
 def _general(
     criterion: CriterionId,
-    value_of: Callable[[float, float, ClassSpec], float],
+    value_of: Callable[[float, float, float, float], float],
     params: BesselParams,
     cls: ClassSpec,
     variant: Variant,
@@ -148,7 +163,7 @@ def _general(
     if not params.q > 0.0:
         raise DomainError(f"condition requires q > 0, got q = {params.q!r}")
     s = -params.c if variant is Variant.PRINTED else abs(params.c)
-    return ConditionVerdict(criterion, value_of(params.q, s, cls))
+    return ConditionVerdict(criterion, value_of(params.q, s, cls.alpha, cls.beta))
 
 
 def starlike_condition(
@@ -170,17 +185,18 @@ def convex_condition(
     return _general(CriterionId.CONVEX_GENERAL, _convex_value, params, cls, variant)
 
 
-def _f(p: float) -> float:
-    return math.exp(1.0 / (p + 2.0))
+def _f(p):
+    return _entrywise(math.exp, 1.0 / (p + 2.0))
 
 
-def _g(p: float) -> float:
-    return math.exp(2.0 / (2.0 * p + 5.0))
+def _g(p):
+    return _entrywise(math.exp, 2.0 / (2.0 * p + 5.0))
 
 
 # Printed displays of the twelve special cases.  F = exp(1/(p+2)) and
 # G = exp(2/(2p+5)) abbreviate the exponentials of the two q values p+1
-# and p+3/2.
+# and p+3/2.  Each takes p, alpha and beta as floats or as broadcasting
+# float64 arrays, as do the clearing factors of _SPECIAL_CASES.
 
 
 def _p_star_fk(p, a, b):
@@ -295,7 +311,9 @@ def special_case_condition(
     substitutes the (b, c) of the case's kind into the general display as
     written and multiplies by the case's fixed positive clearing factor, so
     the result is directly comparable with the printed value.  An order
-    outside the kind's domain raises params_of_kind's DomainError.
+    outside the kind's domain raises params_of_kind's DomainError, and a
+    display that is not a number there (inf / inf at an order near the
+    largest double) raises DomainError instead of a verdict that cannot hold.
     """
     case = _SPECIAL_CASES.get(criterion)
     if case is None:
@@ -308,7 +326,10 @@ def special_case_condition(
     if variant is Variant.PRINTED:
         value = case.printed(p, cls.alpha, cls.beta)
     else:
-        value = _GENERAL_VALUE[case.which](params.q, -params.c, cls) * case.factor(p)
+        general = _GENERAL_VALUE[case.which]
+        value = general(params.q, -params.c, cls.alpha, cls.beta) * case.factor(p)
+    if value != value:
+        raise DomainError(f"the {variant.value} {criterion.value} display is NaN at p = {p!r}")
     return ConditionVerdict(criterion, value)
 
 
@@ -337,41 +358,46 @@ def consistency_audit() -> dict:
     at 1.  Returns a JSON-ready report with per-criterion agreement counts,
     example disagreement points, and the pinned reference disagreement.
 
-    One plain loop over (p, alpha, beta): the kind's parameters and the
-    clearing factor depend on p alone, so they are formed once per order,
-    and both displays are evaluated inline at each point.  Every value is
-    the one special_case_condition returns there, and examples are the
-    first AUDIT_MAX_EXAMPLES disagreements in (p, alpha, beta) order.
+    Each criterion is one call of its printed display, its general display
+    and its clearing factor, the functions special_case_condition calls, on
+    the whole grid: the orders as a column and the classes (alpha, beta) as
+    a row.  Every value is the one special_case_condition returns at that
+    point, and examples are the first AUDIT_MAX_EXAMPLES disagreements in
+    (p, alpha, beta) order.  Every order passes params_of_kind and every
+    class ClassSpec, as they would point by point.
     """
+    import numpy as np
+
+    p_col = np.array(AUDIT_P_VALUES).reshape(-1, 1)
+    q_and_s = {}  # kind -> (q, s = -c) as columns over the orders
+    for kind in {case.kind for case in _SPECIAL_CASES.values()}:
+        params = [params_of_kind(kind, p) for p in AUDIT_P_VALUES]
+        q_and_s[kind] = (np.array([pr.q for pr in params]).reshape(-1, 1),
+                         np.array([-pr.c for pr in params]).reshape(-1, 1))
     criteria_report: dict = {}
     for cid, case in _SPECIAL_CASES.items():
         beta_axis = (1.0,) if case.beta1 else AUDIT_BETAS
         classes = [ClassSpec(a, b) for a in AUDIT_ALPHAS for b in beta_axis]
-        disagreements = 0
-        examples: list[dict] = []
-        min_abs_printed = math.inf
-        general = _GENERAL_VALUE[case.which]
-        for p in AUDIT_P_VALUES:
-            params = params_of_kind(case.kind, p)
-            q, s, factor = params.q, -params.c, case.factor(p)
-            for cls in classes:
-                printed = case.printed(p, cls.alpha, cls.beta)
-                derived = general(q, s, cls) * factor
-                min_abs_printed = min(min_abs_printed, abs(printed))
-                if (printed >= 0.0) != (derived >= 0.0):
-                    disagreements += 1
-                    if len(examples) < AUDIT_MAX_EXAMPLES:
-                        examples.append({
-                            "p": p, "alpha": cls.alpha, "beta": cls.beta,
-                            "printed": printed, "derived": derived,
-                        })
+        alpha = np.array([[cls.alpha for cls in classes]])
+        beta = np.array([[cls.beta for cls in classes]])
+        q, s = q_and_s[case.kind]
+        printed = case.printed(p_col, alpha, beta)
+        derived = _GENERAL_VALUE[case.which](q, s, alpha, beta) * case.factor(p_col)
+        split = np.flatnonzero((printed >= 0.0) != (derived >= 0.0))
+        examples = []
+        for i in split[:AUDIT_MAX_EXAMPLES].tolist():
+            cls = classes[i % len(classes)]
+            examples.append({
+                "p": AUDIT_P_VALUES[i // len(classes)], "alpha": cls.alpha, "beta": cls.beta,
+                "printed": float(printed.flat[i]), "derived": float(derived.flat[i]),
+            })
         points = len(AUDIT_P_VALUES) * len(classes)
         criteria_report[cid.name] = {
             "points": points,
-            "agreements": points - disagreements,
-            "disagreements": disagreements,
+            "agreements": points - split.size,
+            "disagreements": split.size,
             "disagreement_examples": examples,
-            "min_abs_printed": min_abs_printed,
+            "min_abs_printed": float(np.abs(printed).min()),
         }
 
     pin = PINNED_DISAGREEMENT

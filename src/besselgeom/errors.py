@@ -22,7 +22,7 @@ class SeriesOverflowError(NoConvergenceError):
 
 
 class SingularityError(BesselGeomError):
-    """A threshold function was evaluated exactly at its essential singularity."""
+    """A threshold function was evaluated at, or too near, its essential singularity."""
 
 
 class NoBracketError(BesselGeomError):

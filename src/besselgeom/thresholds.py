@@ -42,20 +42,19 @@ Bisection stays scalar, so roots, brackets and residuals keep their bits.
 
 figure_table prints its values, so it evaluates on the exact array path,
 whose values are bit-equal to the scalar ones: that exponential maps
-math.exp over the entries (np.exp differs from it by an ulp at some
-arguments) and saturates exactly where the scalar one does, and every other
-operation is an elementwise IEEE + - * / in the scalar order.
+math.exp over the entries (_entrywise; np.exp differs from it by an ulp at
+some arguments) and saturates exactly where the scalar one does, and every
+other operation is an elementwise IEEE + - * / in the scalar order.  The
+corollary audit of the conditions module uses the same map.
 
-This is the package's one numpy module.  numpy is imported inside the
-functions that build arrays (sample_grid, _sign_changes, figure_table), not
-at module level, so that importing the package and evaluating single points
+numpy is imported inside the functions that build or receive arrays, not at
+module level, so that importing the package and evaluating single points
 (figure_eval) never load it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -72,7 +71,8 @@ SING_MARGIN = 1e-6
 # Largest number of points sample_grid builds.
 MAX_GRID_POINTS = 1_000_000
 
-# figure_table drops samples closer than this to the singularity.
+# figure_eval refuses, and figure_table drops, samples closer than this to the
+# singularity.
 SINGULAR_SKIP = 1e-12
 
 # Largest |x| figure_eval and sample_grid accept.  Every g_i is finite up to
@@ -86,26 +86,46 @@ MAX_ABS_X = 1e150
 _EXP_SAFE = 709.0
 
 
+def _entrywise(fn, t):
+    """fn(t) at a float t; at a float64 array, fn mapped over its entries.
+
+    Each entry is bit-equal to fn at that float, which np.exp is not: it
+    differs from math.exp by an ulp at some arguments.  A float, the case of
+    every single point, costs one type test and never loads numpy.  An
+    entry at which fn overflows raises DomainError rather than fn's
+    OverflowError, which a caller's scalar branch would read as the value of
+    the whole array.
+    """
+    if isinstance(t, float):
+        return fn(t)
+    import numpy as np
+
+    try:
+        out = np.fromiter(map(fn, t.ravel().tolist()), float, t.size)
+    except OverflowError:
+        raise DomainError(f"{fn.__name__} overflows at an entry of an array") from None
+    return out.reshape(t.shape)
+
+
 def _exp(t):
     """exp saturating to +inf instead of raising on overflow.
 
-    An array argument is mapped entrywise through math.exp, so each entry is
-    bit-equal to the scalar result.  Only figure_table passes one; the sign
-    scans enclose exp between _exp_below and _exp_above instead.  numpy is
-    looked up in sys.modules, not imported: before it is loaded no argument
-    can be an array, and a number (bisection passes one on every evaluation)
-    takes the scalar path without loading it.
+    An array argument goes through _entrywise, so each entry is bit-equal to
+    the scalar result.  Only figure_table passes one; the sign scans enclose
+    exp between _exp_below and _exp_above instead.  A float, which bisection
+    passes on every evaluation, takes the scalar path without numpy.
     """
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(t, np.ndarray):
-        out = np.fromiter(map(math.exp, np.minimum(t, _EXP_SAFE).tolist()), float, t.size)
-        big = np.flatnonzero(t > _EXP_SAFE)
-        out[big] = [_exp(v) for v in t[big].tolist()]
-        return out
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
+    if isinstance(t, float):
+        try:
+            return math.exp(t)
+        except OverflowError:
+            return math.inf
+    import numpy as np
+
+    out = _entrywise(math.exp, np.minimum(t, _EXP_SAFE))
+    big = np.flatnonzero(t > _EXP_SAFE)
+    out[big] = [_exp(v) for v in t[big].tolist()]
+    return out
 
 
 # Relative and absolute slack of the scans' enclosure of math.exp by np.exp.
@@ -188,13 +208,19 @@ def _spec(fig_id: int) -> FigureSpec:
 
 
 def figure_eval(fig_id: int, x: float) -> float:
-    """Evaluate g_{fig_id}(x) for |x| <= MAX_ABS_X.  Both sides of the singularity are legal."""
+    """Evaluate g_{fig_id}(x) for |x| <= MAX_ABS_X.  Both sides of the singularity are legal.
+
+    An x within SINGULAR_SKIP of the singularity raises SingularityError:
+    figure_table drops the same samples, and a few ulps right of it the
+    quadratic g_4 and g_6 read 0 * inf.
+    """
     spec = _spec(fig_id)
     if not abs(x) <= MAX_ABS_X:
         raise DomainError(f"x must be finite with |x| <= {MAX_ABS_X:g}, got {x!r}")
-    if x == spec.singularity:
+    if abs(x - spec.singularity) < SINGULAR_SKIP:
         raise SingularityError(
-            f"figure {fig_id} has an essential singularity at x = {spec.singularity}"
+            f"figure {fig_id} has an essential singularity at x = {spec.singularity}; "
+            f"x = {x!r} lies within {SINGULAR_SKIP:g} of it"
         )
     return spec.func(x)
 

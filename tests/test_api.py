@@ -126,7 +126,7 @@ def test_which_must_be_a_quotient_kind(which):
 
 # ---------------------------------------------------------------------------
 # numpy is loaded only where arrays are built: by thresholds, for the sign
-# scans of threshold and the table of figure
+# scans of threshold and the table of figure, and by the corollary audit
 
 
 def _fresh(script: str, *args: str) -> dict:
@@ -185,7 +185,6 @@ def test_point_paths_never_load_numpy():
         for mode in ("all", "theorem", "lemma", "disk"):
             steps[f"check-{klass}-{mode}"] = [*_CHECK, "--class", klass, "--mode", mode]
     steps["scan"] = _SCAN
-    steps["audit"] = None
     out = _fresh(_STEPS, json.dumps(steps))
     assert out == {name: [0, False] for name in ("import", *steps)}
 
@@ -193,6 +192,7 @@ def test_point_paths_never_load_numpy():
 @pytest.mark.parametrize("name,argv", [
     ("threshold", ["threshold", "--figure", "1"]),
     ("figure", _FIGURE),
+    ("audit", None),  # the whole audit grid is one set of array calls per criterion
 ])
 def test_array_paths_load_numpy(name, argv):
     # each in its own interpreter, so that this step is the one that loads it

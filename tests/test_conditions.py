@@ -4,6 +4,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from besselgeom import (
     starlike_condition,
     starlike_sum,
 )
-from besselgeom import conditions
+from besselgeom import conditions, thresholds
 from conftest import draw_chain_inputs
 
 CLS01 = ClassSpec(0.0, 1.0)
@@ -245,9 +246,9 @@ def test_general_condition_tiny_exponent(q, s):
     # exp(s/(q+1)) rounds to 1 while s/q does not vanish: 1 - E and
     # (q+1)/q (E - 1) cancel completely unless E - 1 comes from expm1
     for alpha, beta in ((0.0, 1.0), (0.5, 0.5)):
-        cls = ClassSpec(alpha, beta)
         for convex in (False, True):
-            got = (conditions._convex_value if convex else conditions._starlike_value)(q, s, cls)
+            value_of = conditions._convex_value if convex else conditions._starlike_value
+            got = value_of(q, s, alpha, beta)
             want = _mp_general(q, s, alpha, beta, convex)
             assert got == pytest.approx(float(want), rel=1e-12), (convex, alpha, beta)
 
@@ -309,6 +310,30 @@ def test_general_condition_overflow_small_coefficient():
     want = _mp_general(params.q, -params.c, cls.alpha, cls.beta, convex=True)
     assert math.isfinite(verdict.value)
     assert verdict.value == pytest.approx(float(want), rel=1e-10)
+
+
+def test_array_exponent_that_overflows_raises():
+    # the scalar path reads an exponent that overflows as an infinite
+    # value; an array with one such entry among finite ones must not take
+    # that branch, so it raises instead
+    q, alpha, beta = np.array([1.0, 1.0]), 0.0, 1.0
+    s = np.array([1.0, 2000.0])  # exponents 0.5 and 1000 > 709.78
+    for value_of, sign in ((conditions._starlike_value, 1.0), (conditions._convex_value, -1.0)):
+        assert math.isinf(value_of(1.0, sign * 2000.0, alpha, beta))
+        with pytest.raises(DomainError, match="expm1 overflows"):
+            value_of(q, sign * s, alpha, beta)
+    with pytest.raises(DomainError, match="exp overflows"):
+        thresholds._entrywise(math.exp, np.array([0.5, 709.79]))
+
+
+@pytest.mark.parametrize("cid", [CriterionId.CONVEX_SPHERICAL, CriterionId.CONVEX_SPHERICAL_BETA1])
+def test_printed_display_nan_raises(cid):
+    # near the largest double the printed (2p+5)/(2p+3) is inf / inf
+    p = 1.7e308
+    with pytest.raises(DomainError) as info:
+        special_case_condition(cid, p, CLS01, Variant.PRINTED)
+    assert cid.value in str(info.value) and repr(p) in str(info.value)
+    assert special_case_condition(cid, p, CLS01, Variant.DERIVED).holds
 
 
 def test_general_condition_overflow_zero_coefficient():
@@ -378,3 +403,14 @@ def test_audit_calls_special_case_condition_only_for_the_pin(monkeypatch):
     monkeypatch.setattr(conditions, "special_case_condition", counting)
     consistency_audit()
     assert calls == [PINNED_DISAGREEMENT["criterion"]] * 2
+
+
+def test_audit_maps_each_exponential_once_per_order(monkeypatch):
+    # each criterion's displays hold at most three exponentials of p, and
+    # the audit evaluates each once per order, not once per grid point
+    calls = []
+    for name in ("exp", "expm1"):
+        real = getattr(math, name)
+        monkeypatch.setattr(math, name, lambda t, real=real: calls.append(t) or real(t))
+    consistency_audit()
+    assert 0 < len(calls) <= 12 * 3 * len(conditions.AUDIT_P_VALUES)

@@ -86,16 +86,37 @@ def test_figure_eval_domain():
 @given(st.sampled_from(sorted(FIGURES)),
        st.floats(-thresholds.MAX_ABS_X, thresholds.MAX_ABS_X))
 def test_figure_eval_is_never_nan(fig_id, x):
-    # every g_i is a number wherever figure_eval accepts x, apart from the
+    # every g_i is a number wherever figure_eval accepts x; it refuses the
     # neighbourhood of the singularity that figure_table skips
-    if abs(x - FIGURES[fig_id].singularity) >= thresholds.SINGULAR_SKIP:
+    if abs(x - FIGURES[fig_id].singularity) < thresholds.SINGULAR_SKIP:
+        with pytest.raises(SingularityError):
+            figure_eval(fig_id, x)
+    else:
         assert not math.isnan(figure_eval(fig_id, x))
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURES))
+def test_figure_eval_refuses_adjacent_doubles_of_singularity(fid):
+    # a few ulps right of -2 and -5/2 the quadratic g_4 and g_6 read 0 * inf;
+    # 2,000 adjacent doubles each side all lie within SINGULAR_SKIP, and just
+    # outside it every value is a number
+    s = FIGURES[fid].singularity
+    for toward in (-math.inf, math.inf):
+        x = s
+        for _ in range(2000):
+            x = math.nextafter(x, toward)
+            with pytest.raises(SingularityError, match="within 1e-12"):
+                figure_eval(fid, x)
+        x = s + math.copysign(thresholds.SINGULAR_SKIP, toward)
+        for _ in range(2000):
+            x = math.nextafter(x, toward)
+            assert not math.isnan(figure_eval(fid, x)), x
 
 
 def test_near_singularity_saturates():
     # approaching the essential singularity from the right overflows exp;
-    # the value saturates to +/- infinity instead of raising
-    assert math.isinf(figure_eval(1, -2.0 + 1e-14))
+    # just outside SINGULAR_SKIP the value saturates to +/- infinity
+    assert math.isinf(figure_eval(1, -2.0 + 1e-11))
 
 
 def test_rightmost_roots_frozen():

@@ -6,8 +6,11 @@ Every command assembles an OutputRecord
 
 and writes json.dumps(record, sort_keys=True, indent=2) and a LF.  The
 figure table, the one record large enough for json's pure-Python indenting
-encoder to cost time, has its rows written from one fixed row template
-and spliced into the json.dumps text of the rest of the record.
+encoder to cost time, is written with the same bytes by _write_figure:
+straight from the x and g columns of figure_table's array, _FIGURE_CHUNK
+rows at a time, each chunk one % of a repeated row template (JSON rows
+spliced into the json.dumps text of the rest of the record, or CSV lines),
+so neither a per-row object nor the text of the whole table is ever built.
 eval, check and threshold always emit JSON; figure emits JSON or CSV on
 request; scan always emits CSV with the fixed column set
 p,alpha,beta,theorem,lemma,disk_max.  CSV cells use 17 significant digits,
@@ -29,7 +32,8 @@ once per process, on its first call (not at import), and reuses it: parsing
 never changes it.
 
 This module never imports numpy: thresholds loads it for the sign scans of
-threshold and the table of figure (and conditions for the corollary audit).
+threshold and the table of figure (and conditions for the corollary audit),
+and the figure writer uses only the table's array methods.
 Importing numpy costs about twice the rest of the package, and eval, check
 and scan evaluate single points in pure Python.  scan takes its axes from
 _linspace, which returns np.linspace's floats bit for bit.
@@ -133,27 +137,55 @@ def _emit_json(record: dict) -> None:
 
 
 # One {"g", "x"} row of a figure table at its depth in the record, as
-# json.dumps(indent=2) lays it out.
+# json.dumps(indent=2) lays it out, and the text between two rows.
 _FIGURE_ROW = '{\n        "g": %r,\n        "x": %r\n      }'
+_FIGURE_SEP = ",\n      "
+
+# Rows of a figure table formatted and written at a time: about 70 KB of JSON
+# text, small beside a whole table's, and large enough that the per-chunk
+# slicing, tolist and write cost little beside the row formatting.
+_FIGURE_CHUNK = 1024
 
 
-def _figure_json(record: dict) -> str:
-    """json.dumps(record, sort_keys=True, indent=2) of a figure record, its rows from _FIGURE_ROW.
+def _write_figure(record: dict, table, fmt: str) -> None:
+    """Write a figure record, its rows the (n, 2) array of columns [x, g], to stdout.
 
-    The rest of the record is dumped with an empty table, whose "rows": []
-    occurs once in that text (a quote inside a string is escaped), and the
-    rows are joined in there.  A finite float repr contains neither inf nor
-    nan, so mapping those to Infinity and NaN writes the non-finite values as
-    json does.
+    CSV is the line x,g and one line "%.17g,%.17g" % (x, g) per row, which
+    is _g17 of each value.  JSON is json.dumps(record, sort_keys=True,
+    indent=2) and a LF, as if "rows" held a {"g", "x"} dict per row: the
+    record is dumped with "rows": [], which occurs once in that text (a
+    quote inside a string is escaped), and the rows are written in there
+    from _FIGURE_ROW.  Either format writes _FIGURE_CHUNK rows at a time, one
+    % of a repeated row template over the chunk's columns, so no row object
+    and no text of the whole table is built.  A finite float repr contains
+    neither inf nor nan, so mapping those to Infinity and NaN, done only when
+    a g is not finite, writes the non-finite values as json does.
     """
-    result = record["result"]
-    text = json.dumps({**record, "result": {**result, "rows": []}}, sort_keys=True, indent=2)
-    if not result["rows"]:
-        return text
-    rows = ",\n      ".join([_FIGURE_ROW % (r["g"], r["x"]) for r in result["rows"]])
-    rows = rows.replace("inf", "Infinity").replace("nan", "NaN")
-    head, tail = text.split('"rows": []')
-    return "".join([head, '"rows": [\n      ', rows, "\n    ]", tail])
+    write = sys.stdout.write
+    n = len(table)
+    if fmt == "csv":
+        row, sep, cols = "%.17g,%.17g", "\n", table
+        head, tail, empty = "x,g\n", "\n", "x,g\n"
+    else:
+        row, sep, cols = _FIGURE_ROW, _FIGURE_SEP, table[:, ::-1]
+        text = json.dumps(record, sort_keys=True, indent=2)
+        before, after = text.split('"rows": []')
+        head, tail, empty = before + '"rows": [\n      ', "\n    ]" + after + "\n", text + "\n"
+    if not n:
+        write(empty)
+        return
+    gs = table[:, 1]
+    nonfinite = fmt != "csv" and not (math.isfinite(gs.min()) and math.isfinite(gs.max()))
+    write(head)
+    for i in range(0, n, _FIGURE_CHUNK):
+        chunk = cols[i:i + _FIGURE_CHUNK]
+        text = sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+        if nonfinite:
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+        if i:
+            write(sep)
+        write(text)
+    write(tail)
 
 
 def _g17(x: float) -> str:
@@ -305,14 +337,6 @@ def threshold_record(figure: int, tol: float) -> dict:
     return _record("threshold", {"figure": figure, "tol": tol}, result)
 
 
-def figure_record(figure: int, low: float, high: float, step: float) -> dict:
-    spec = _spec(figure)
-    rows = [{"x": x, "g": g} for x, g in figure_table(figure, low, high, step)]
-    result = {"label": spec.label, "singularity": spec.singularity, "rows": rows}
-    inputs = {"figure": figure, "low": low, "high": high, "step": step}
-    return _record("figure", inputs, result)
-
-
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """np.linspace(lo, hi, n).tolist() for n >= 1, bit for bit, without numpy.
 
@@ -410,13 +434,11 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    record = figure_record(args.figure, args.low, args.high, args.step)
-    if args.format == "csv":
-        out = ["x,g"]
-        out += [f"{_g17(r['x'])},{_g17(r['g'])}" for r in record["result"]["rows"]]
-        sys.stdout.write("\n".join(out) + "\n")
-    else:
-        sys.stdout.write(_figure_json(record) + "\n")
+    spec = _spec(args.figure)
+    table = figure_table(args.figure, args.low, args.high, args.step)
+    result = {"label": spec.label, "singularity": spec.singularity, "rows": []}
+    inputs = {"figure": args.figure, "low": args.low, "high": args.high, "step": args.step}
+    _write_figure(_record("figure", inputs, result), table, args.format)
     return 0
 
 

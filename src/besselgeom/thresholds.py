@@ -40,12 +40,13 @@ window, the overflow next to the singularity.  Brackets come from the signs
 alone, so a product of neighbours that underflows cannot hide a change.
 Bisection stays scalar, so roots, brackets and residuals keep their bits.
 
-figure_table prints its values, so it evaluates on the exact array path,
-whose values are bit-equal to the scalar ones: that exponential maps
-math.exp over the entries (_entrywise; np.exp differs from it by an ulp at
-some arguments) and saturates exactly where the scalar one does, and every
-other operation is an elementwise IEEE + - * / in the scalar order.  The
-corollary audit of the conditions module uses the same map.
+figure_table returns the float64 (n, 2) array of columns [x, g], which the
+cli writes chunk by chunk.  Its values are printed, so it evaluates on the
+exact array path, whose values are bit-equal to the scalar ones: that
+exponential maps math.exp over the entries (_entrywise; np.exp differs from
+it by an ulp at some arguments) and saturates exactly where the scalar one
+does, and every other operation is an elementwise IEEE + - * / in the
+scalar order.  The corollary audit of the conditions module uses the same map.
 
 numpy is imported inside the functions that build or receive arrays, not at
 module level, so that importing the package and evaluating single points
@@ -252,8 +253,8 @@ def sample_grid(low: float, high: float, step: float) -> np.ndarray:
     return low + np.arange(math.floor(span) + 1) * step  # the IEEE operations of low + i * step
 
 
-def figure_table(fig_id: int, low: float, high: float, step: float) -> list[tuple[float, float]]:
-    """The pairs (x, g(x)) on sample_grid(low, high, step), in grid order.
+def figure_table(fig_id: int, low: float, high: float, step: float) -> np.ndarray:
+    """The float64 (n, 2) array of columns [x, g(x)] on sample_grid(low, high, step), in grid order.
 
     A sample within SINGULAR_SKIP of the singularity is dropped instead of
     aborting the table, and a value that overflows saturates to +/-inf, as a
@@ -266,7 +267,7 @@ def figure_table(fig_id: int, low: float, high: float, step: float) -> list[tupl
     xs = xs[~(np.abs(xs - spec.singularity) < SINGULAR_SKIP)]
     with np.errstate(over="ignore", invalid="ignore"):
         gs = spec.func(xs)
-    return list(zip(xs.tolist(), gs.tolist()))
+    return np.column_stack((xs, gs))
 
 
 def _sign_changes(

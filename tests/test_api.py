@@ -1,5 +1,6 @@
 """The public API: what besselgeom exports, and what it no longer does."""
 
+import ast
 import inspect
 import json
 import os
@@ -43,6 +44,8 @@ def test_removed_names_stay_removed():
     # summed in the one loop of eval_u_derivatives, with no second sum where
     # |c z| is subnormal; Gamma(q) is math.gamma's, as q is finite
     for owner, name in ((besselgeom.cli, "to_json"), (besselgeom.cli, "_float_rows"),
+                        # the figure table is written from its columns by _write_figure
+                        (besselgeom.cli, "figure_record"), (besselgeom.cli, "_figure_json"),
                         (besselgeom.BesselKind, "GENERALIZED"),
                         (besselgeom.bessel, "_kahan_sum"), (besselgeom.bessel, "_MIN_NORMAL"),
                         (besselgeom.bessel, "_gamma"),
@@ -187,6 +190,18 @@ def test_point_paths_never_load_numpy():
     steps["scan"] = _SCAN
     out = _fresh(_STEPS, json.dumps(steps))
     assert out == {name: [0, False] for name in ("import", *steps)}
+
+
+def test_cli_source_imports_no_numpy():
+    # the figure writer handles the table with array methods (slicing, min,
+    # max, ravel, tolist) only; cli itself never imports numpy
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(besselgeom.cli))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert imported and not {name for name in imported if name.split(".")[0] == "numpy"}
 
 
 @pytest.mark.parametrize("name,argv", [

@@ -10,6 +10,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -21,7 +22,6 @@ from besselgeom import DomainError, SumReport, SumStatus, bessel, cli, criteria,
 from besselgeom.cli import (
     check_record,
     eval_record,
-    figure_record,
     load_output_schema,
     main,
     scan_record,
@@ -528,7 +528,8 @@ def test_figure_bad_ranges(capsys):
 
 
 def test_figure_rejects_overflowing_sample(capsys):
-    # low + n * step rounds past the largest double; the sample is not finite
+    # low = 1e308 lies past MAX_ABS_X (1e150): the table is refused before any
+    # sample is built, whatever the step
     assert main(["figure", "--figure", "1", "--low=1e308",
                  "--high=1.7976931348623157e308", f"--step={7.976931348623157e307 / (1 - 5e-10)!r}"]) == 2
     assert "x must be finite" in capsys.readouterr().err
@@ -585,6 +586,40 @@ def test_figure_bytes_pinned(capsys, fmt):
     assert main([*PINNED_FIGURE_ARGS, "--format", fmt]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_FIGURES[fmt]
+
+
+class _HashSink:
+    """A text stream that hashes what is written to it and keeps none of it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_FIGURES))
+def test_figure_writes_in_bounded_memory(fmt):
+    # the pinned table has 10,000 rows, some 800 KB of JSON; the writer holds
+    # one chunk of rows and text at a time, not a row object per row or the
+    # whole text (4.25 MB JSON and 3.97 MB CSV when it did)
+    argv = [*PINNED_FIGURE_ARGS, "--format", fmt]
+    with contextlib.redirect_stdout(_HashSink()):  # builds the parser outside the trace
+        assert main(argv) == 0
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.sha.hexdigest() == PINNED_FIGURES[fmt]
+    assert peak < 1.5e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -858,19 +893,55 @@ def test_all_builders_validate():
         eval_record(1.5, 1.0, -1.0, complex(2.0, 0.0), 1e-12, True),
         check_record(1.0, 1.0, -1.0, 0.2, 0.7, "convex", "lemma", "printed"),
         threshold_record(5, 1e-10),
-        figure_record(6, -2.0, 3.0, 0.25),
     ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["figure", "--figure", "6", "--low", "-2", "--high", "3", "--step", "0.25"]) == 0
+    records.append(json.loads(out.getvalue()))
     for rec in records:
         jsonschema.validate(rec, SCHEMA)
 
 
 # ---------------------------------------------------------------------------
 # JSON records are json.dumps(sort_keys=True, indent=2); the figure table's
-# rows come from one template, which must write the same bytes
+# rows come from one template, chunk by chunk, which must write the same bytes
 
 
 def dumps(record):
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def figure_record(figure, low, high, step, rows):
+    """The figure record of a window, its rows from (x, g) pairs."""
+    spec = thresholds.FIGURES[figure]
+    result = {"label": spec.label, "singularity": spec.singularity,
+              "rows": [{"x": x, "g": g} for x, g in rows]}
+    inputs = {"figure": figure, "low": low, "high": high, "step": step}
+    return {"schema_version": cli.SCHEMA_VERSION, "command": "figure",
+            "inputs": inputs, "result": result}
+
+
+def figure_oracle(figure, low, high, step, fmt, table=None):
+    """figure's output, row by row from figure_table (or the table given).
+
+    JSON is dumps of the record with a {"g", "x"} dict per row; CSV is the
+    line x,g and one line of format(v, ".17g") of x and g per row.
+    """
+    if table is None:
+        table = thresholds.figure_table(figure, low, high, step)
+    rows = table.tolist()
+    if fmt == "csv":
+        return "x,g\n" + "".join(f"{format(x, '.17g')},{format(g, '.17g')}\n" for x, g in rows)
+    return dumps(figure_record(figure, low, high, step, rows))
+
+
+def figure_output(figure, low, high, step, fmt="json"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["figure", "--figure", str(figure), f"--low={low!r}",
+                     f"--high={high!r}", f"--step={step!r}", "--format", fmt])
+    assert code == 0
+    return out.getvalue()
 
 
 @st.composite
@@ -907,14 +978,9 @@ def figure_windows(draw):
 @given(figure_windows())
 def test_figure_json_is_json_dumps(window):
     figure, low, high, step, case = window
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["figure", "--figure", str(figure),
-                     f"--low={low!r}", f"--high={high!r}", f"--step={step!r}"])
-    assert code == 0
-    record = figure_record(figure, low, high, step)
-    assert out.getvalue() == dumps(record)
-    gs = [row["g"] for row in record["result"]["rows"]]
+    table = thresholds.figure_table(figure, low, high, step)
+    assert figure_output(figure, low, high, step) == figure_oracle(figure, low, high, step, "json", table)
+    gs = table[:, 1].tolist()
     if case == "singular":
         assert not all(map(math.isfinite, gs))
     elif case == "skipped":
@@ -923,10 +989,43 @@ def test_figure_json_is_json_dumps(window):
 
 def test_figure_json_nonfinite_rows():
     # no figure window gives g = nan; the template writes it as json does
-    record = figure_record(1, 0.0, 1.0, 0.5)
     gs = (math.nan, math.inf, -math.inf, 5e-324)
-    record["result"]["rows"] = [{"g": g, "x": -0.0} for g in gs]
-    assert cli._figure_json(record) + "\n" == dumps(record)
+    table = np.array([[-0.0, g] for g in gs])
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_figure(figure_record(1, 0.0, 1.0, 0.5, []), table, fmt)
+        assert out.getvalue() == figure_oracle(1, 0.0, 1.0, 0.5, fmt, table)
+
+
+CHUNK = cli._FIGURE_CHUNK
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_figure_chunk_boundaries(rows, fmt):
+    # the samples 3 + i / 1024 are exact, so the window has exactly `rows` rows
+    low, step = 3.0, 2.0 ** -10
+    high = low + (rows - 1) * step
+    assert len(thresholds.figure_table(4, low, high, step)) == rows
+    assert figure_output(4, low, high, step, fmt) == figure_oracle(4, low, high, step, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_figure_saturated_rows_in_a_later_chunk(fmt):
+    # the window starts left of g_1's singularity x = -2 and crosses it past
+    # the first chunk; right of it exp(1/(x + 2)) overflows on the samples up
+    # to about 1.4e-3 away, so those rows are inf in the second chunk only
+    step = 2.0 ** -14
+    low = -2.0 - (CHUNK + 76.5) * step
+    high = low + 2 * CHUNK * step
+    table = thresholds.figure_table(1, low, high, step)
+    assert len(table) == 2 * CHUNK + 1
+    finite = np.isfinite(table[:, 1])
+    assert finite[:CHUNK].all() and not finite[CHUNK:].all()
+    out = figure_output(1, low, high, step, fmt)
+    assert out == figure_oracle(1, low, high, step, fmt, table)
+    assert ("Infinity" if fmt == "json" else "inf") in out
 
 
 def test_audit_report_bytes():

@@ -26,10 +26,11 @@ Non-finite values can reach the output only through saturation of auxiliary
 quantities; they serialize as JavaScript-style Infinity literals, which the
 stdlib json module reads back.
 
-scan evaluates the coefficient sums and the disk layer once per order p: the
-rows of one p differ only in alpha and beta.  main builds the argparse parser
-once per process, on its first call (not at import), and reuses it: parsing
-never changes it.
+scan runs the class-independent part of all three layers once per order p
+(the closed form's (q, s), the sum's moments, the disk's n), then decides
+each row of that p from them with the functions the conditions, sum_reports
+and sup_estimates call.  main builds the argparse parser once per process,
+on its first call (not at import), and reuses it: parsing never changes it.
 
 This module never imports numpy: thresholds loads it for the sign scans of
 threshold and the table of figure (and conditions for the corollary audit),
@@ -48,9 +49,11 @@ import math
 import sys
 
 from .bessel import BesselParams, SeriesValue, eval_u_derivatives, eval_w
-from .conditions import ConditionVerdict, Variant, convex_condition, starlike_condition
-from .criteria import ClassSpec, QuotientKind, SumReport, SumStatus, sum_reports
-from .disk import sup_estimate, sup_estimates
+from .conditions import _GENERAL_VALUE, ConditionVerdict, Variant, _general_qs
+from .conditions import convex_condition, starlike_condition
+from .criteria import ClassSpec, QuotientKind, SumReport, SumStatus, _class_sum, _moments
+from .criteria import sum_reports
+from .disk import _lane_n, _sup, sup_estimate
 from .errors import BesselGeomError, DomainError
 from .thresholds import (
     DEFAULT_TOL,
@@ -150,16 +153,16 @@ _FIGURE_CHUNK = 1024
 def _write_figure(record: dict, table, fmt: str) -> None:
     """Write a figure record, its rows the (n, 2) array of columns [x, g], to stdout.
 
-    CSV is the line x,g and one line "%.17g,%.17g" % (x, g) per row, which
-    is _g17 of each value.  JSON is json.dumps(record, sort_keys=True,
-    indent=2) and a LF, as if "rows" held a {"g", "x"} dict per row: the
-    record is dumped with "rows": [], which occurs once in that text (a
-    quote inside a string is escaped), and the rows are written in there
-    from _FIGURE_ROW.  Either format writes _FIGURE_CHUNK rows at a time, one
-    % of a repeated row template over the chunk's columns, so no row object
-    and no text of the whole table is built.  A finite float repr contains
-    neither inf nor nan, so mapping those to Infinity and NaN, done only when
-    a g is not finite, writes the non-finite values as json does.
+    CSV is the line x,g and one line "%.17g,%.17g" % (x, g) per row.  JSON
+    is json.dumps(record, sort_keys=True, indent=2) and a LF, as if "rows"
+    held a {"g", "x"} dict per row: the record is dumped with "rows": [],
+    which occurs once in that text (a quote inside a string is escaped), and
+    the rows are written in there from _FIGURE_ROW.  Either format writes
+    _FIGURE_CHUNK rows at a time, one % of a repeated row template over the
+    chunk's columns, so no row object and no text of the whole table is
+    built.  A finite float repr contains neither inf nor nan, so mapping
+    those to Infinity and NaN, done only when a g is not finite, writes the
+    non-finite values as json does.
     """
     write = sys.stdout.write
     n = len(table)
@@ -188,8 +191,8 @@ def _write_figure(record: dict, table, fmt: str) -> None:
     write(tail)
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+# One scan CSV row: p, alpha and beta preformatted, then theorem, lemma and disk_max.
+_SCAN_ROW = "%s,%s,%s,%s,%s,%.17g"
 
 
 def load_output_schema() -> dict:
@@ -256,14 +259,14 @@ def _layers(klass: str) -> tuple:
 
 
 def _consistent(
-    thm: ConditionVerdict | None, rep: SumReport | None, sup: float | None, beta: float
+    holds: bool | None, status: SumStatus | None, sup: float | None, beta: float
 ) -> bool:
     """The chain theorem => lemma => sup <= beta; a layer that did not run is None."""
-    if rep is None:  # both links pass through the lemma
+    if status is None:  # both links pass through the lemma
         return True
-    if thm is not None and thm.holds and rep.status is SumStatus.FAILS:
+    if holds and status is SumStatus.FAILS:
         return False
-    return sup is None or sup <= beta or rep.status is not SumStatus.HOLDS
+    return sup is None or sup <= beta or status is not SumStatus.HOLDS
 
 
 def eval_record(p: float, b: float, c: float, z: complex, eps: float, want_w: bool) -> dict:
@@ -295,21 +298,22 @@ def check_record(
     var = Variant(variant)
     cond, which = _layers(klass)
     point = {"p": p, "b": b, "c": c, "alpha": alpha, "beta": beta}
-    thm = rep = sup = None
+    holds = status = sup = None
     result: dict = {}
     if mode in ("theorem", "all"):
         thm = cond(params, cls, var)
         result["theorem"] = _condition(thm, var, point)
+        # The printed variant binds the theorem only for c <= 0, where it
+        # coincides with the derived one.
+        holds = thm.holds and (var is Variant.DERIVED or c <= 0.0)
     if mode in ("lemma", "all"):
         rep = sum_reports(params, [cls], which)[0]
         result["lemma"] = _sum_report(rep)
+        status = rep.status
     if mode in ("disk", "all"):
         sup = sup_estimate(params, cls, which)
         result["disk"] = {"max_quotient": sup}
-    # The printed variant binds the theorem only for c <= 0, where it
-    # coincides with the derived one.
-    binding = var is Variant.DERIVED or c <= 0.0
-    result["consistent"] = _consistent(thm if binding else None, rep, sup, beta)
+    result["consistent"] = _consistent(holds, status, sup, beta)
     inputs = {**point, "class": klass, "mode": mode, "variant": variant}
     return _record("check", inputs, result)
 
@@ -367,7 +371,7 @@ def scan_record(
     klass: str,
     steps: tuple[int, int, int],
 ) -> dict:
-    cond, which = _layers(klass)
+    which = _layers(klass)[1]
     if steps[0] * steps[1] * steps[2] > MAX_GRID_POINTS:
         raise DomainError(
             f"scan grid of {steps[0]} x {steps[1]} x {steps[2]} rows has more than "
@@ -377,21 +381,27 @@ def scan_record(
     ps = _linspace(p_range[0], p_range[1], steps[0])
     alphas = _linspace(alpha_range[0], alpha_range[1], steps[1])
     betas = _linspace(beta_range[0], beta_range[1], steps[2])
-    classes = [ClassSpec(a, bt) for a in alphas for bt in betas]
+    classes = [(a, bt, ClassSpec(a, bt).threshold) for a in alphas for bt in betas]
+    value_of = _GENERAL_VALUE[which]
 
     rows = []
     consistent = True
-    for p in ps:  # the sum and disk layers run once for all rows of one p
+    for p in ps:
+        # each layer's class-independent part, once per order and in check's
+        # order: the closed form's (q, s), the sum's moments and the disk's n
         params = BesselParams(p, b, c)
-        thms = [cond(params, cls) for cls in classes]
-        reps = sum_reports(params, classes, which)
-        sups = sup_estimates(params, classes, which)
-        for cls, thm, rep, sup in zip(classes, thms, reps, sups):
-            consistent &= _consistent(thm, rep, sup, cls.beta)
+        q, s = _general_qs(params, Variant.DERIVED)
+        m1, m0, bound = _moments(params, which)
+        n = _lane_n(params, which)
+        for alpha, beta, thr in classes:
+            holds = value_of(q, s, alpha, beta) >= 0.0  # ConditionVerdict.holds
+            status = _class_sum(m1, m0, bound, beta, thr)[3]
+            sup = _sup(n, alpha)
+            consistent &= _consistent(holds, status, sup, beta)
             rows.append({
-                "p": p, "alpha": cls.alpha, "beta": cls.beta,
-                "theorem": "holds" if thm.holds else "fails",
-                "lemma": rep.status.value,
+                "p": p, "alpha": alpha, "beta": beta,
+                "theorem": "holds" if holds else "fails",
+                "lemma": status.value,
                 "disk_max": sup,
             })
 
@@ -447,12 +457,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         args.b, args.c, args.p_range, args.alpha_range, args.beta_range,
         args.klass, args.steps,
     )
+    # p formatted once per order, alpha and beta once per class; %.17g is format(x, ".17g")
+    rows = record["result"]["rows"]
+    per = args.steps[1] * args.steps[2]
+    cols = [("%.17g" % r["alpha"], "%.17g" % r["beta"]) for r in rows[:per]]
     out = ["p,alpha,beta,theorem,lemma,disk_max"]
-    for r in record["result"]["rows"]:
-        out.append(
-            f"{_g17(r['p'])},{_g17(r['alpha'])},{_g17(r['beta'])},"
-            f"{r['theorem']},{r['lemma']},{_g17(r['disk_max'])}"
-        )
+    for i in range(0, len(rows), per):
+        p = "%.17g" % rows[i]["p"]
+        out += [_SCAN_ROW % (p, a, bt, r["theorem"], r["lemma"], r["disk_max"])
+                for r, (a, bt) in zip(rows[i:i + per], cols)]
     sys.stdout.write("\n".join(out) + "\n")
     if not record["result"]["consistent"]:
         print("error: implication chain violated on the grid", file=sys.stderr)

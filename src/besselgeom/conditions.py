@@ -153,17 +153,11 @@ def _convex_value(q, s, alpha, beta):
     return thr * (m + 1.0) + thr * m + _over_q(thr * m, -s, x, q)
 
 
-def _general(
-    criterion: CriterionId,
-    value_of: Callable[[float, float, float, float], float],
-    params: BesselParams,
-    cls: ClassSpec,
-    variant: Variant,
-) -> ConditionVerdict:
+def _general_qs(params: BesselParams, variant: Variant) -> tuple[float, float]:
+    """(q, s) of the general displays, s = -c (printed) or |c| (derived), once q > 0."""
     if not params.q > 0.0:
         raise DomainError(f"condition requires q > 0, got q = {params.q!r}")
-    s = -params.c if variant is Variant.PRINTED else abs(params.c)
-    return ConditionVerdict(criterion, value_of(params.q, s, cls.alpha, cls.beta))
+    return params.q, (-params.c if variant is Variant.PRINTED else abs(params.c))
 
 
 def starlike_condition(
@@ -175,14 +169,18 @@ def starlike_condition(
     c < 0); the derived variant uses s = |c|, which keeps the implication to
     the coefficient criterion valid for either sign of c.
     """
-    return _general(CriterionId.STARLIKE_GENERAL, _starlike_value, params, cls, variant)
+    q, s = _general_qs(params, variant)
+    value = _starlike_value(q, s, cls.alpha, cls.beta)
+    return ConditionVerdict(CriterionId.STARLIKE_GENERAL, value)
 
 
 def convex_condition(
     params: BesselParams, cls: ClassSpec, variant: Variant = Variant.DERIVED
 ) -> ConditionVerdict:
     """General convex condition; holds implies u is in K(alpha, beta)."""
-    return _general(CriterionId.CONVEX_GENERAL, _convex_value, params, cls, variant)
+    q, s = _general_qs(params, variant)
+    value = _convex_value(q, s, cls.alpha, cls.beta)
+    return ConditionVerdict(CriterionId.CONVEX_GENERAL, value)
 
 
 def _f(p):

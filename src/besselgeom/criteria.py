@@ -24,10 +24,10 @@ so for every class of one (p, b, c) the starlike sum is
 (1 + beta) M1 + thr M0, with thr = 2 beta (1 - alpha) and the two moments
 M1 = sum_{k>=2} (k - 1) m_k and M0 = sum_{k>=2} m_k, which do not depend on
 the class; the convex sum is the same with M1 = sum k (k - 1) m_k and
-M0 = sum k m_k.  sum_reports therefore runs the series evaluator's
-coefficient kernel (bessel._coefficients) once, with the degree 1 or 2 of
-the weight w_hi(k) = k - 1 or k (k - 1) of M1, and forms both moments in one
-compensated pass.
+M0 = sum k m_k.  _moments therefore runs the series evaluator's
+coefficient kernel (bessel._coefficients) once per order, with the degree 1
+or 2 of the weight w_hi(k) = k - 1 or k (k - 1) of M1, and forms both
+moments in one compensated pass; _class_sum decides each class from them.
 The kernel bounds the discarded part of M1 by B.  For k > K, the last
 index summed, w_hi(k) >= K w_lo(k), where w_lo(k) = 1 or k is the weight of
 M0, so the discarded part of M0 is at most B / K and the class sum's at
@@ -38,8 +38,9 @@ class's tail bound stays below DEFAULT_EPS.
 Every term is nonnegative.  So once a term or a partial sum overflows, the
 exact sum exceeds every threshold: the report is FAILS with sum inf and
 margin -inf.  When the kernel itself stops at an overflowing coefficient
-(SeriesOverflowError), nothing after it is summed and tail_bound is
-0, since the discarded terms can only raise a sum that is already inf.
+(SeriesOverflowError), nothing after it is summed: _moments gives (inf, 0, 0),
+so every class's sum is inf and its tail_bound 0, since the discarded terms
+can only raise a sum that is already inf.
 
 Reports carry a tri-state status: a verdict is only HOLDS or FAILS when the
 tail bound cannot flip it, and INDETERMINATE otherwise.
@@ -115,28 +116,19 @@ class SumReport:
         return self.threshold - self.sum
 
 
-def _report(total: float, tail: float, cls: ClassSpec) -> SumReport:
-    thr = cls.threshold
+def _class_sum(m1: float, m0: float, bound: float, beta: float, thr: float) -> tuple:
+    """(sum, tail bound, thr, status) of the class (beta, thr) from its order's _moments."""
+    hi = 1.0 + beta
+    total, tail = hi * m1 + thr * m0, (hi + thr) * bound
     if total + tail <= thr:
-        status = SumStatus.HOLDS
-    elif total - tail > thr:
-        status = SumStatus.FAILS
-    else:
-        status = SumStatus.INDETERMINATE
-    return SumReport(total, tail, thr, status)
+        return total, tail, thr, SumStatus.HOLDS
+    if total - tail > thr:
+        return total, tail, thr, SumStatus.FAILS
+    return total, tail, thr, SumStatus.INDETERMINATE
 
 
-def sum_reports(
-    params: BesselParams, classes: Sequence[ClassSpec], which: QuotientKind
-) -> list[SumReport]:
-    """The starlike or convex criterion (which) for each class, from one coefficient pass.
-
-    Each report's sum is (1 + beta) M1 + thr M0 and its tail bound
-    (1 + beta + thr) B < DEFAULT_EPS; see the module docstring.  Raises
-    DomainError for a which that is not a QuotientKind or q <= 0, and
-    NoConvergenceError, quoting DEFAULT_EPS, when the kernel's tail bound is
-    not certified within its term cap.
-    """
+def _moments(params: BesselParams, which: QuotientKind) -> tuple[float, float, float]:
+    """(M1, M0, B) of one order for sum_reports; (inf, 0, 0) at an overflowing m_k."""
     if not isinstance(which, QuotientKind):
         raise DomainError(f"which must be a QuotientKind, got {which!r}")
     if not params.q > 0.0:
@@ -144,8 +136,8 @@ def sum_reports(
     convex = which is QuotientKind.CONVEX
     try:
         m, bound = _coefficients(params.q, abs(params.c), DEFAULT_EPS, 0.25, 2 if convex else 1)
-    except SeriesOverflowError:  # an overflowing m_k: see the module docstring
-        return [_report(math.inf, 0.0, cls) for cls in classes]
+    except SeriesOverflowError:  # see the module docstring
+        return math.inf, 0.0, 0.0
 
     # M1 and M0 over m_2 .. m_K in one compensated (Kahan) pass; m_(K+1),
     # the last entry, is the first discarded
@@ -162,11 +154,22 @@ def sum_reports(
         m0 = t
     if not m1 < math.inf:  # an overflowing term, where Kahan's corrections give nan
         m1 = m0 = math.inf
-    reports = []
-    for cls in classes:
-        hi, thr = 1.0 + cls.beta, cls.threshold
-        reports.append(_report(hi * m1 + thr * m0, (hi + thr) * bound, cls))
-    return reports
+    return m1, m0, bound
+
+
+def sum_reports(
+    params: BesselParams, classes: Sequence[ClassSpec], which: QuotientKind
+) -> list[SumReport]:
+    """The starlike or convex criterion (which) for each class, from one coefficient pass.
+
+    Each report's sum is (1 + beta) M1 + thr M0 and its tail bound
+    (1 + beta + thr) B < DEFAULT_EPS; see the module docstring.  Raises
+    DomainError for a which that is not a QuotientKind or q <= 0, and
+    NoConvergenceError, quoting DEFAULT_EPS, when the kernel's tail bound is
+    not certified within its term cap.
+    """
+    m1, m0, bound = _moments(params, which)
+    return [SumReport(*_class_sum(m1, m0, bound, cls.beta, cls.threshold)) for cls in classes]
 
 
 def starlike_sum(params: BesselParams, cls: ClassSpec) -> SumReport:

@@ -7,10 +7,10 @@ let n = z f'(z) / f(z) - 1; f is in S*(alpha, beta) when
 
 at every z in the open unit disk, and u is in K(alpha, beta) exactly when
 z u' is in S*(alpha, beta).  So the starlike check takes f = u and the
-convex check f = z u'.  sup_estimates is the only evaluator of the
-quotient's supremum; sup_estimate is its one-class form.  Both return the
-bare sup: its point is always z = sign(c), and beta only moves the
-verdict.
+convex check f = z u'.  _sup is the only evaluator of the quotient's
+supremum, from the n that _lane_n computes once per order; sup_estimates and
+sup_estimate apply it to classes.  All return the bare sup: its point is
+always z = sign(c), and beta only moves the verdict.
 
 The real-axis theorem (q > 0).  u(z) = z F_q(-c z) with F_q = 0F1(;q;.).
 For q > 0 every zero of F_q is real and negative (Hurwitz; Watson, Treatise
@@ -129,10 +129,25 @@ def _real_axis(q: float, s: float, which: QuotientKind) -> float:
     return x * r * (2.0 + x * r1 / (q + 1.0)) / den
 
 
+def _lane_n(params: BesselParams, which: QuotientKind) -> float:
+    """n of _real_axis, the part of sup_estimates that no class enters; raises as it does."""
+    if not isinstance(which, QuotientKind):
+        raise DomainError(f"which must be a QuotientKind, got {which!r}")
+    q = params.q
+    if not q > 0.0:
+        raise DomainError(f"the disk layer requires q > 0, got q = {q!r}")
+    return _real_axis(q, abs(params.c), which)
+
+
+def _sup(n: float, alpha: float) -> float:
+    """The sup of the class of order alpha, from the n of _lane_n."""
+    den = n + 2.0 * (1.0 - alpha)
+    # den <= 0: a pole of the quotient in the closed disk, whatever beta
+    return abs(n / den) if den > 0.0 else math.inf
+
+
 def sup_estimates(
-    params: BesselParams,
-    classes: Sequence[ClassSpec],
-    which: QuotientKind,
+    params: BesselParams, classes: Sequence[ClassSpec], which: QuotientKind
 ) -> list[float]:
     """Exact sup of the chosen quotient over the unit disk, for several classes.
 
@@ -143,18 +158,8 @@ def sup_estimates(
     exactly when its sup <= beta.  Raises DomainError for a which that is not
     a QuotientKind, and for q <= 0, where the theorem does not hold.
     """
-    if not isinstance(which, QuotientKind):
-        raise DomainError(f"which must be a QuotientKind, got {which!r}")
-    q = params.q
-    if not q > 0.0:
-        raise DomainError(f"the disk layer requires q > 0, got q = {q!r}")
-    n = _real_axis(q, abs(params.c), which)
-    out = []
-    for cls in classes:
-        den = n + 2.0 * (1.0 - cls.alpha)
-        # den <= 0: a pole of the quotient in the closed disk, whatever beta
-        out.append(abs(n / den) if den > 0.0 else math.inf)
-    return out
+    n = _lane_n(params, which)
+    return [_sup(n, cls.alpha) for cls in classes]
 
 
 def sup_estimate(params: BesselParams, cls: ClassSpec, which: QuotientKind) -> float:

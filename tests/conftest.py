@@ -1,10 +1,12 @@
 """Shared reference oracles and draw helpers.
 
-Every oracle here is structurally independent of the package: coefficients
-come from explicit Pochhammer products and math.factorial, sums go through
-math.fsum (exact up to one final rounding), the disk quotients come from
-scipy's 0F1 on polar rings, and nothing reuses the package's ratio
-recurrences, continued fraction or Kahan loops.
+Every numeric oracle here is structurally independent of the package:
+coefficients come from explicit Pochhammer products and math.factorial, sums
+go through math.fsum (exact up to one final rounding), the disk quotients
+come from scipy's 0F1 on polar rings, and nothing reuses the package's ratio
+recurrences, continued fraction or Kahan loops.  scalar_scan_rows is the one
+structural oracle: scan's rows rebuilt one class at a time from the public
+layer functions, against which scan's per-order evaluation is compared.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from besselgeom import BesselParams
+from besselgeom import (
+    BesselParams,
+    ClassSpec,
+    QuotientKind,
+    SumStatus,
+    convex_condition,
+    starlike_condition,
+    sum_reports,
+    sup_estimates,
+)
 
 
 def ref_coeff(p: float, b: float, c: float, k: int) -> float:
@@ -100,6 +111,51 @@ def ring_max(
         quot = np.abs(n / den)
     valid = (np.abs(first) > RING_GUARD) & (np.abs(den) > RING_GUARD) & np.isfinite(quot)
     return float(np.max(quot[valid])) if valid.any() else 0.0
+
+
+def scalar_scan_rows(
+    b: float,
+    c: float,
+    p_range: tuple[float, float],
+    alpha_range: tuple[float, float],
+    beta_range: tuple[float, float],
+    klass: str,
+    steps: tuple[int, int, int],
+) -> tuple[list[dict], bool]:
+    """(rows, consistent) of scan_record, one class at a time.
+
+    Each row takes starlike_condition or convex_condition, sum_reports and
+    sup_estimates of its own class, and the chain theorem => lemma =>
+    sup <= beta is written out here; the axes come from np.linspace.  A
+    layer error propagates from the first row that meets it, in the order
+    condition, sum, disk.
+    """
+    cond, which = {
+        "star": (starlike_condition, QuotientKind.STARLIKE),
+        "convex": (convex_condition, QuotientKind.CONVEX),
+    }[klass]
+    axes = [np.linspace(lo, hi, n).tolist()
+            for (lo, hi), n in zip((p_range, alpha_range, beta_range), steps)]
+    rows, consistent = [], True
+    for p in axes[0]:
+        params = BesselParams(p, b, c)
+        for alpha in axes[1]:
+            for beta in axes[2]:
+                cls = ClassSpec(alpha, beta)
+                thm = cond(params, cls)
+                status = sum_reports(params, [cls], which)[0].status
+                sup = sup_estimates(params, [cls], which)[0]
+                if thm.holds and status is SumStatus.FAILS:
+                    consistent = False
+                if status is SumStatus.HOLDS and not sup <= beta:
+                    consistent = False
+                rows.append({
+                    "p": p, "alpha": alpha, "beta": beta,
+                    "theorem": "holds" if thm.holds else "fails",
+                    "lemma": status.value,
+                    "disk_max": sup,
+                })
+    return rows, consistent
 
 
 def draw_chain_inputs(rng: random.Random) -> tuple[BesselParams, float, float]:

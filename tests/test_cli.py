@@ -18,7 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from besselgeom import DomainError, SumReport, SumStatus, bessel, cli, criteria, disk, thresholds
+from besselgeom import (
+    BesselGeomError,
+    DomainError,
+    SumReport,
+    SumStatus,
+    bessel,
+    cli,
+    criteria,
+    disk,
+    thresholds,
+)
 from besselgeom.cli import (
     check_record,
     eval_record,
@@ -28,6 +38,7 @@ from besselgeom.cli import (
     threshold_record,
 )
 from besselgeom.conditions import consistency_audit
+from conftest import scalar_scan_rows
 
 SCHEMA = load_output_schema()
 
@@ -250,10 +261,9 @@ def test_check_beta_below_1_false_membership(capsys):
 def test_consistent_tie_is_a_member():
     # the class is strict on the open disk, which reaches the sup only on
     # the circle: a lemma that HOLDS agrees with sup == beta, not with more
-    holds = SumReport(sum=1.0, tail_bound=0.0, threshold=2.0, status=SumStatus.HOLDS)
     beta = 0.908536345275895
-    assert cli._consistent(None, holds, beta, beta)
-    assert not cli._consistent(None, holds, math.nextafter(beta, math.inf), beta)
+    assert cli._consistent(None, SumStatus.HOLDS, beta, beta)
+    assert not cli._consistent(None, SumStatus.HOLDS, math.nextafter(beta, math.inf), beta)
 
 
 def test_check_starlike_overflow_gives_verdict(capsys):
@@ -660,8 +670,8 @@ def test_scan_parallel_identical(capsys):
 
 def test_scan_builds_disk_series_once_per_order(capsys, monkeypatch):
     # the rows of one p share the disk verdict's one continued fraction at
-    # z = sign(c): 30 passes for 30 x 3 x 2 rows at negative c, whose
-    # beta = 0.5 rows no longer reach a grid
+    # z = sign(c): 30 passes for 30 x 3 x 2 rows at negative c, the
+    # beta = 0.5 rows included
     calls = []
     real = disk._real_axis
 
@@ -766,9 +776,10 @@ def test_scan_lemma_upset_in_p(capsys):
 
 
 def test_scan_inconsistency_exits_3(capsys, monkeypatch):
-    # the same forced contradiction as for check: exit 3, CSV still printed
-    fake = SumReport(sum=99.0, tail_bound=0.0, threshold=2.0, status=SumStatus.FAILS)
-    monkeypatch.setattr(cli, "sum_reports", lambda params, classes, which: [fake] * len(classes))
+    # the forced contradiction of check, at the sum layer's per-order seam:
+    # M1 = 99 gives the sum 198 against thr = 2 at alpha = 0, beta = 1, so
+    # the lemma FAILS where the theorem holds; exit 3, CSV still printed
+    monkeypatch.setattr(cli, "_moments", lambda params, which: (99.0, 0.0, 0.0))
     code = main(["scan", "--b", "1", "--c", "-0.1", "--p-range", "10,10",
                  "--alpha-range", "0,0", "--beta-range", "1,1",
                  "--class", "star", "--steps", "1"])
@@ -815,7 +826,8 @@ def test_scan_steps_must_be_integers(capsys):
 def test_scan_refuses_oversized_grid(capsys, monkeypatch, steps):
     # more than MAX_GRID_POINTS rows exits 2 before a grid or a layer is built
     monkeypatch.setattr(cli, "_linspace", _refuse_work)
-    for name in ("starlike_condition", "convex_condition", "sum_reports", "sup_estimates"):
+    for name in ("starlike_condition", "convex_condition", "sum_reports",
+                 "_general_qs", "_moments", "_lane_n"):
         monkeypatch.setattr(cli, name, _refuse_work)
     assert_refused_before_work(capsys, monkeypatch, [*SCAN_ARGS[:-1], steps])
 
@@ -841,6 +853,96 @@ def test_linspace_bit_equal_numpy(a, b, n):
     with np.errstate(all="ignore"):  # hi - lo may overflow, as it does in floats
         want = np.linspace(lo, hi, n).tolist()
     assert _bits(cli._linspace(lo, hi, n)) == _bits(want)
+
+
+# b as the named kinds and the generalized benchmark grid have it, or drawn
+SCAN_B = st.one_of(st.sampled_from([1.0, 2.0, 0.5]), st.floats(-0.9, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=SCAN_B,
+    c=st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -25.0, 2000.0, -1.24e5])),
+    q_lo=st.floats(-0.5, 25.0),
+    p_span=st.floats(0.0, 30.0),
+    alpha=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 1.0)),
+    beta=st.tuples(st.floats(1e-3, 1.0), st.floats(0.0, 1.0)),
+    klass=st.sampled_from(["star", "convex"]),
+    steps=st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3)),
+)
+@example(b=1.0, c=-3e5, q_lo=1.0, p_span=3.0, alpha=(0.0, 0.5), beta=(1.0, 0.0),
+         klass="star", steps=(2, 2, 1))  # every sum overflows: lemma fails, disk_max inf
+@example(b=1.0, c=-3e5, q_lo=1.0, p_span=3.0, alpha=(0.0, 0.5), beta=(0.5, 1.0),
+         klass="convex", steps=(2, 2, 2))
+@example(b=1.0, c=-1.24e5, q_lo=1.0, p_span=3.0, alpha=(0.0, 0.5), beta=(0.5, 1.0),
+         klass="convex", steps=(2, 2, 2))  # the Kahan pass overflows at p = 0
+@example(b=1.0, c=1.0, q_lo=0.1, p_span=0.0, alpha=(0.0, 0.5), beta=(0.5, 1.0),
+         klass="star", steps=(1, 2, 2))  # p = -0.9: u/z has a zero in the disk
+@example(b=1.0, c=1.0, q_lo=0.1, p_span=0.0, alpha=(0.0, 0.5), beta=(0.5, 1.0),
+         klass="convex", steps=(1, 2, 2))
+def test_scan_rows_equal_per_class_oracle(b, c, q_lo, p_span, alpha, beta, klass, steps):
+    # scan's per-order evaluation gives the rows, bit for bit, and the
+    # consistent flag of the per-class layer calls, or the same error
+    p_lo = q_lo - (b + 1.0) / 2.0
+    a_lo, b_lo = alpha[0], beta[0]
+    args = (b, c, (p_lo, p_lo + p_span), (a_lo, a_lo + alpha[1] * (0.999 - a_lo)),
+            (b_lo, b_lo + beta[1] * (1.0 - b_lo)), klass, steps)
+    try:
+        rows, consistent = scalar_scan_rows(*args)
+    except BesselGeomError as exc:
+        with pytest.raises(type(exc)) as got:
+            scan_record(*args)
+        assert str(got.value) == str(exc)
+        return
+    result = scan_record(*args)["result"]
+    assert repr(result["rows"]) == repr(rows)
+    assert result["consistent"] is consistent
+
+
+def test_scan_consistent_covers_every_row(monkeypatch):
+    # a contradiction at the first of three orders (M1 = 99 there: the lemma
+    # fails where the theorem holds) makes the whole grid inconsistent, in
+    # scan and in the per-class oracle alike
+    real = criteria._moments
+
+    def fake(params, which):
+        return (99.0, 0.0, 0.0) if params.p == 10.0 else real(params, which)
+
+    monkeypatch.setattr(criteria, "_moments", fake)
+    monkeypatch.setattr(cli, "_moments", fake)
+    args = (1.0, -0.1, (10.0, 12.0), (0.0, 0.0), (1.0, 1.0), "star", (3, 1, 1))
+    rows, consistent = scalar_scan_rows(*args)
+    result = scan_record(*args)["result"]
+    assert [r["lemma"] for r in rows] == ["fails", "holds", "holds"]
+    assert repr(result["rows"]) == repr(rows)
+    assert consistent is result["consistent"] is False
+
+
+def test_scan_overflow_and_zero_rows():
+    # the two edges the property above names: sums that overflow and a zero
+    # of u/z in the disk both read lemma fails and disk_max inf
+    for c, p in ((-3e5, 0.0), (1.0, -0.9)):
+        for klass in ("star", "convex"):
+            rec = scan_record(1.0, c, (p, p), (0.0, 0.5), (1.0, 1.0), klass, (1, 2, 1))
+            for row in rec["result"]["rows"]:
+                assert (row["lemma"], row["disk_max"]) == ("fails", math.inf)
+
+
+@pytest.mark.parametrize("klass", ["star", "convex"])
+@pytest.mark.parametrize("c,p_range,message", [
+    ("-1", "-1.5,-1.2", "condition requires q > 0, got q = -0.5"),
+    ("-1e9", "0,3", "continued fraction for |c| = 1000000000.0 needs more than 10000 levels"),
+])
+def test_scan_order_error_precedence(capsys, klass, c, p_range, message):
+    # the first order that fails names the first layer that refuses it, the
+    # closed form before the sum before the disk, and no row is printed
+    code = main(["scan", "--b", "1", f"--c={c}", f"--p-range={p_range}",
+                 "--alpha-range", "0,0.5", "--beta-range", "1,1",
+                 "--class", klass, "--steps", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_scan_record_validates_schema():

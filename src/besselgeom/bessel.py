@@ -173,7 +173,10 @@ def _coefficients(q: float, x: complex | float, eps: float, scale: float, degree
     when no K <= MAX_TERMS qualifies, and its subclass SeriesOverflowError at
     once at the first index past MIN_TERMS with q + k > 0 whose coefficient
     has no finite modulus: a non-finite a_k stays non-finite, so no later
-    bound could fall below eps.
+    bound could fall below eps.  Before raising it reruns the recurrence
+    once with the quotient x / ((q + (k - 1)) k) formed first, for an
+    a_k x that overflowed where a_(k+1) is finite, and returns that run's
+    coefficients if it stops.
     """
     a = [1.0]
     ak = 1.0
@@ -193,8 +196,30 @@ def _coefficients(q: float, x: complex | float, eps: float, scale: float, degree
                         return a, bound
     except OverflowError:  # also abs() of a complex whose parts are finite but modulus is not
         msg = f"term {k + 1} overflows, so tail bound {eps!r} cannot be certified"
-        raise SeriesOverflowError(msg) from None
-    raise NoConvergenceError(f"tail bound {eps!r} not certified within {MAX_TERMS} terms")
+    else:
+        raise NoConvergenceError(f"tail bound {eps!r} not certified within {MAX_TERMS} terms")
+    # a_k x itself may have overflowed where a_(k+1) is finite (|x| and q
+    # near the largest double): rerun once as a_k ((x / (q + (k - 1))) / k),
+    # with no product that can overflow where its quotient would not.  The
+    # loop above keeps its one rounding order, and with it every result it
+    # returns.
+    a = [1.0]
+    ak = 1.0
+    try:
+        for k in range(1, MAX_TERMS + 1):
+            ak = ak * (x / (q + (k - 1.0)) / k)
+            a.append(ak)
+            if k > MIN_TERMS and q + k > 0.0:
+                if not abs(ak) < _INF:
+                    break
+                r = ax / (q + k) / (k + 1.0) * ((k + degree) / k)
+                if r <= 0.5:
+                    bound = abs((k if degree == 1 else k * (k + 1.0)) * ak) / (1.0 - r)
+                    if bound < tol:
+                        return a, bound
+    except OverflowError:
+        pass
+    raise SeriesOverflowError(msg)
 
 
 def eval_u(params: BesselParams, z: complex | float, eps: float = DEFAULT_EPS) -> SeriesValue:
@@ -266,6 +291,16 @@ def eval_u_derivatives(
             s = upp + y
             c2 = (s - upp) - y
             upp = s
+        if not cmath.isfinite(upp):
+            # (-c) t_(k-1) may have overflowed where the u'' term is finite:
+            # rerun that lane once as t_(k-1) ((-c) / (q + (k-2))), as the
+            # kernel reruns its recurrence
+            upp = c2 = zero
+            for k in range(2, n + 1):
+                y = k * (t[k - 2] * ((-c) / (q + (k - 2.0)))) - c2
+                s = upp + y
+                c2 = (s - upp) - y
+                upp = s
     # a lane past binary64 reads inf or nan (Kahan's corrections turn inf to nan)
     if not (cmath.isfinite(u) and cmath.isfinite(up) and cmath.isfinite(upp)):
         raise SeriesOverflowError(

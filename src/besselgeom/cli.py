@@ -32,12 +32,13 @@ each row of that p from them with the functions the conditions, sum_reports
 and sup_estimates call.  main builds the argparse parser once per process,
 on its first call (not at import), and reuses it: parsing never changes it.
 
-This module never imports numpy: thresholds loads it for the sign scans of
-threshold and the table of figure (and conditions for the corollary audit),
-and the figure writer uses only the table's array methods.
-Importing numpy costs about twice the rest of the package, and eval, check
-and scan evaluate single points in pure Python.  scan takes its axes from
-_linspace, which returns np.linspace's floats bit for bit.
+This module never imports numpy: thresholds loads it for the table of
+figure (and conditions for the corollary audit), and the figure writer uses
+only the table's array methods.  Importing numpy costs about twice the rest
+of the package; eval, check and scan evaluate single points in pure Python,
+and threshold's sign scans enclose whole grid cells on thresholds' interval
+type.  scan takes its axes from _linspace, which returns np.linspace's
+floats bit for bit.
 """
 
 from __future__ import annotations

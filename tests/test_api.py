@@ -14,6 +14,7 @@ import pytest
 
 import besselgeom
 import besselgeom.cli
+from test_cli import PINNED_THRESHOLDS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -128,8 +129,8 @@ def test_which_must_be_a_quotient_kind(which):
             layer(params, classes, which)
 
 # ---------------------------------------------------------------------------
-# numpy is loaded only where arrays are built: by thresholds, for the sign
-# scans of threshold and the table of figure, and by the corollary audit
+# numpy is loaded only where arrays are built: by thresholds, for the table of
+# figure, and by the corollary audit; the sign scans of threshold run on cells
 
 
 def _fresh(script: str, *args: str) -> dict:
@@ -188,8 +189,33 @@ def test_point_paths_never_load_numpy():
         for mode in ("all", "theorem", "lemma", "disk"):
             steps[f"check-{klass}-{mode}"] = [*_CHECK, "--class", klass, "--mode", mode]
     steps["scan"] = _SCAN
+    for fid in range(1, 7):
+        steps[f"threshold-{fid}"] = ["threshold", "--figure", str(fid)]
     out = _fresh(_STEPS, json.dumps(steps))
     assert out == {name: [0, False] for name in ("import", *steps)}
+
+
+# Runs threshold --figure 1..6 with numpy unimportable and prints the SHA-256
+# of each output.
+_NO_NUMPY_THRESHOLDS = """
+import contextlib, hashlib, io, json, sys
+sys.modules["numpy"] = None
+from besselgeom import cli
+
+out = {}
+for fid in range(1, 7):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["threshold", "--figure", str(fid)]) == 0
+    out[fid] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_threshold_bytes_without_numpy():
+    # with numpy blocked every threshold output keeps its pinned bytes
+    out = _fresh(_NO_NUMPY_THRESHOLDS)
+    assert {int(fid): digest for fid, digest in out.items()} == PINNED_THRESHOLDS
 
 
 def test_cli_source_imports_no_numpy():
@@ -205,7 +231,6 @@ def test_cli_source_imports_no_numpy():
 
 
 @pytest.mark.parametrize("name,argv", [
-    ("threshold", ["threshold", "--figure", "1"]),
     ("figure", _FIGURE),
     ("audit", None),  # the whole audit grid is one set of array calls per criterion
 ])

@@ -336,6 +336,27 @@ def test_large_c_terms_stay_finite(c, z):
             assert sv.tail_bound < 1e-13
             assert abs(sv.value - ref) <= 1e-13 * abs(ref)
 
+def test_overflowing_product_reruns_the_recurrence():
+    # at |c z| = 1.5e308 and q = 1e307 the product a_k (-c z) overflows where
+    # every term a_k z^(k-1) = 15^(k-1) / (k-1)! is finite, and so does the
+    # u'' lane's (-c) t_(k-1); both rerun as quotients first; against a
+    # 50-digit 0F1
+    import mpmath
+
+    params, z = BesselParams(1e307, 1.0, -1e308), 1.5
+    with mpmath.workdps(50):
+        q, c = mpmath.mpf(params.q), mpmath.mpf(params.c)
+        f0, f1, f2 = (mpmath.hyp0f1(q + j, -c * z) for j in range(3))
+        want = (
+            z * f0,
+            f0 + z * (-c) / q * f1,
+            2 * (-c) / q * f1 + z * c ** 2 / (q * (q + 1)) * f2,
+        )
+        for sv, ref in zip(eval_u_derivatives(params, z), want):
+            assert sv.tail_bound < 1e-12
+            assert abs(sv.value - ref) <= 1e-13 * abs(ref)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     q=st.floats(0.05, 20.0),

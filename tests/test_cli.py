@@ -141,6 +141,15 @@ def test_eval_overflowing_value_exits_2(capsys):
         "error: u, u' or u'' overflows, so tail bound 1e-12 cannot be certified\n")
 
 
+def test_eval_overflowing_product_exits_0(capsys):
+    # a_k (-c z) overflows at term 12 although every term is finite: the
+    # kernel reruns its recurrence; u is 4903526.05870817 (50-digit mpmath)
+    assert main(["eval", "--p", "1e307", "--b", "1", "--c=-1e308", "--z", "1.5"]) == 0
+    u = json.loads(capsys.readouterr().out)["result"]["u"]
+    assert u["value"]["re"] == pytest.approx(4903526.0587081659589, rel=1e-13)
+    assert u["tail_bound"] < 1e-12
+
+
 @pytest.mark.parametrize("args,err", [
     # x = -c z has finite parts but a modulus past binary64
     (["--p", "0", "--b", "1", "--c=-1e308", "--z", "1.5,1.5"],

@@ -336,6 +336,7 @@ def test_large_c_terms_stay_finite(c, z):
             assert sv.tail_bound < 1e-13
             assert abs(sv.value - ref) <= 1e-13 * abs(ref)
 
+
 def test_overflowing_product_reruns_the_recurrence():
     # at |c z| = 1.5e308 and q = 1e307 the product a_k (-c z) overflows where
     # every term a_k z^(k-1) = 15^(k-1) / (k-1)! is finite, and so does the
